@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use std::path::Path;
+use std::time::Duration;
 
 use jsmt_core::bisect::{bisect_divergence, render_bisect, Variant};
 use jsmt_core::experiments::{self as exp, Engine, ExperimentCtx, MpkiKind, Parallelism};
@@ -54,9 +55,9 @@ pub const EXPERIMENTS: [&str; 22] = [
 /// shape exercises its contended and wait-heavy interleavings.
 pub const DEFAULT_LITMUS_SEEDS: u64 = 64;
 
-/// The experiments that support `--checkpoint` (cell-level crash-safe
-/// progress): everything driven by the pairing grid.
-pub const CHECKPOINTABLE: [&str; 5] = [
+/// The experiments that run the pairing grid: the ones `--workers` and
+/// `--cache-dir` apply to.
+pub const GRID_EXPERIMENTS: [&str; 5] = [
     "fig8",
     "fig9",
     "pairing-analysis",
@@ -91,70 +92,6 @@ impl Default for BisectOpts {
     }
 }
 
-/// Supervised-execution options (`--supervised` and friends).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuperOpts {
-    /// `--supervised`: run the grid under the hardened supervisor
-    /// (per-cell panic isolation, retries, watchdogs, partial results).
-    pub enabled: bool,
-    /// `--retries N`: re-runs granted after a failed cell attempt.
-    pub retries: u32,
-    /// `--deadline-secs N`: wall-clock budget per cell attempt (0 =
-    /// none).
-    pub deadline_secs: u64,
-    /// `--livelock-cycles N`: forward-progress watchdog threshold (0 =
-    /// off).
-    pub livelock_cycles: u64,
-    /// `--cell-checkpoint-every N`: crash-tail checkpoint interval in
-    /// machine cycles (0 = off).
-    pub cell_checkpoint_every: u64,
-    /// `--bundle-dir PATH`: where failed cells write crash-repro
-    /// bundles.
-    pub bundle_dir: Option<String>,
-    /// `--manifest PATH`: where to write the failure-manifest CSV.
-    pub manifest: Option<String>,
-    /// `--faults SPEC`: fault plan to arm (overrides `JSMT_FAULTS`).
-    pub faults: Option<String>,
-    /// `--backoff-ms N`: base delay of the deterministic retry backoff
-    /// (0 disables sleeping; the zero schedule is still recorded).
-    pub backoff_ms: u64,
-    /// `--backoff-cap-ms N`: upper clamp on any single retry delay.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for SuperOpts {
-    fn default() -> Self {
-        SuperOpts {
-            enabled: false,
-            retries: 1,
-            deadline_secs: 0,
-            livelock_cycles: 2_000_000,
-            cell_checkpoint_every: 0,
-            bundle_dir: None,
-            manifest: None,
-            faults: None,
-            backoff_ms: 25,
-            backoff_cap_ms: 400,
-        }
-    }
-}
-
-impl SuperOpts {
-    /// The supervisor policy these options describe.
-    pub fn cfg(&self) -> exp::SupervisorCfg {
-        exp::SupervisorCfg {
-            retries: self.retries,
-            deadline: (self.deadline_secs > 0)
-                .then(|| std::time::Duration::from_secs(self.deadline_secs)),
-            livelock_cycles: self.livelock_cycles,
-            checkpoint_every: self.cell_checkpoint_every,
-            bundle_dir: self.bundle_dir.as_ref().map(std::path::PathBuf::from),
-            backoff_base: std::time::Duration::from_millis(self.backoff_ms),
-            backoff_cap: std::time::Duration::from_millis(self.backoff_cap_ms.max(self.backoff_ms)),
-        }
-    }
-}
-
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
@@ -168,24 +105,23 @@ pub struct Cli {
     /// Worker count from `--jobs N` (`None` = resolve from `JSMT_JOBS`
     /// or the host core count at run time).
     pub jobs: Option<usize>,
-    /// Checkpoint file from `--checkpoint PATH` / `--resume PATH`
-    /// (resumed if it exists, created otherwise).
-    pub checkpoint: Option<String>,
-    /// `--resume` was used: the checkpoint file must already exist.
-    pub resume: bool,
-    /// Flush the checkpoint every N finished grid cells
-    /// (`--checkpoint-every N`, default 8).
-    pub checkpoint_every: usize,
     /// `bisect-divergence` parameters.
     pub bisect: BisectOpts,
-    /// Supervised-execution options.
-    pub supervise: SuperOpts,
+    /// Supervisor policy of every pairing-grid and litmus cell
+    /// (`--retries`, `--deadline-secs`, `--livelock-cycles`,
+    /// `--cell-checkpoint-every`, `--bundle-dir`, `--backoff-ms`,
+    /// `--backoff-cap-ms`).
+    pub supervise: exp::SupervisorCfg,
+    /// `--manifest PATH`: where to write the failure-manifest CSV.
+    pub manifest: Option<String>,
+    /// `--faults SPEC`: fault plan to arm (overrides `JSMT_FAULTS`).
+    pub faults: Option<String>,
     /// Crash-bundle path of the `replay-crash` subcommand.
     pub bundle: Option<String>,
     /// Seeds per litmus shape (`--seeds N`, litmus only).
     pub seeds: u64,
-    /// `--workers N`: fan the pairing grid over N worker *processes*
-    /// (crash-tolerant shard dispatch; `None` = in-process execution).
+    /// `--workers N`: compute the pairing grid in N worker *processes*
+    /// (`None` = on the engine's threads).
     pub workers: Option<usize>,
     /// `--cache-dir PATH`: persistent result-cache directory (overrides
     /// the `JSMT_CACHE` environment variable).
@@ -222,11 +158,10 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
     let mut experiment: Option<String> = None;
     let mut csv = false;
     let mut jobs = None;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut checkpoint_every = 8usize;
     let mut bisect = BisectOpts::default();
-    let mut supervise = SuperOpts::default();
+    let mut supervise = exp::SupervisorCfg::default();
+    let mut manifest: Option<String> = None;
+    let mut faults: Option<String> = None;
     let mut bundle: Option<String> = None;
     let mut seeds = DEFAULT_LITMUS_SEEDS;
     let mut workers: Option<usize> = None;
@@ -238,7 +173,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             "--quick" => ctx = ExperimentCtx::quick(),
             "--full" => ctx = ExperimentCtx::full(),
             "--csv" => csv = true,
-            "--supervised" => supervise.enabled = true,
             "--shard-worker" => shard_worker = true,
             "--workers" => {
                 let v = it
@@ -261,17 +195,19 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                 let v = it
                     .next()
                     .ok_or_else(|| cli_err("--backoff-ms needs a value"))?;
-                supervise.backoff_ms = v
-                    .parse::<u64>()
-                    .map_err(|e| cli_err(format!("bad --backoff-ms: {e}")))?;
+                supervise.backoff_base = Duration::from_millis(
+                    v.parse::<u64>()
+                        .map_err(|e| cli_err(format!("bad --backoff-ms: {e}")))?,
+                );
             }
             "--backoff-cap-ms" => {
                 let v = it
                     .next()
                     .ok_or_else(|| cli_err("--backoff-cap-ms needs a value"))?;
-                supervise.backoff_cap_ms = v
-                    .parse::<u64>()
-                    .map_err(|e| cli_err(format!("bad --backoff-cap-ms: {e}")))?;
+                supervise.backoff_cap = Duration::from_millis(
+                    v.parse::<u64>()
+                        .map_err(|e| cli_err(format!("bad --backoff-cap-ms: {e}")))?,
+                );
             }
             "--jobs" => {
                 let v = it.next().ok_or_else(|| cli_err("--jobs needs a value"))?;
@@ -279,30 +215,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                     v.parse::<usize>()
                         .map_err(|e| cli_err(format!("bad --jobs: {e}")))?,
                 );
-            }
-            "--checkpoint" => {
-                checkpoint = Some(
-                    it.next()
-                        .ok_or_else(|| cli_err("--checkpoint needs a path"))?
-                        .clone(),
-                );
-            }
-            "--resume" => {
-                checkpoint = Some(
-                    it.next()
-                        .ok_or_else(|| cli_err("--resume needs a path"))?
-                        .clone(),
-                );
-                resume = true;
-            }
-            "--checkpoint-every" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| cli_err("--checkpoint-every needs a value"))?;
-                checkpoint_every = v
-                    .parse::<usize>()
-                    .map_err(|e| cli_err(format!("bad --checkpoint-every: {e}")))?
-                    .max(1);
             }
             "--retries" => {
                 let v = it
@@ -316,9 +228,10 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                 let v = it
                     .next()
                     .ok_or_else(|| cli_err("--deadline-secs needs a value"))?;
-                supervise.deadline_secs = v
+                let secs = v
                     .parse::<u64>()
                     .map_err(|e| cli_err(format!("bad --deadline-secs: {e}")))?;
+                supervise.deadline = (secs > 0).then(|| Duration::from_secs(secs));
             }
             "--livelock-cycles" => {
                 let v = it
@@ -332,7 +245,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                 let v = it
                     .next()
                     .ok_or_else(|| cli_err("--cell-checkpoint-every needs a value"))?;
-                supervise.cell_checkpoint_every = v
+                supervise.checkpoint_every = v
                     .parse::<u64>()
                     .map_err(|e| cli_err(format!("bad --cell-checkpoint-every: {e}")))?;
             }
@@ -340,18 +253,18 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                 supervise.bundle_dir = Some(
                     it.next()
                         .ok_or_else(|| cli_err("--bundle-dir needs a path"))?
-                        .clone(),
+                        .into(),
                 );
             }
             "--manifest" => {
-                supervise.manifest = Some(
+                manifest = Some(
                     it.next()
                         .ok_or_else(|| cli_err("--manifest needs a path"))?
                         .clone(),
                 );
             }
             "--faults" => {
-                supervise.faults = Some(
+                faults = Some(
                     it.next()
                         .ok_or_else(|| cli_err("--faults needs a spec"))?
                         .clone(),
@@ -432,6 +345,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             other => return Err(cli_err(format!("unknown flag: {other}"))),
         }
     }
+    supervise.backoff_cap = supervise.backoff_cap.max(supervise.backoff_base);
     // `--shard-worker` is a service mode: no experiment argument, and
     // no driver flags to cross-validate (the dispatcher builds the
     // worker command line itself).
@@ -450,11 +364,10 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             ctx,
             csv,
             jobs,
-            checkpoint: None,
-            resume: false,
-            checkpoint_every,
             bisect,
             supervise,
+            manifest,
+            faults,
             bundle: None,
             seeds,
             workers: None,
@@ -473,36 +386,16 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             usage()
         )));
     }
-    if checkpoint.is_some() && !CHECKPOINTABLE.contains(&experiment.as_str()) {
+    if workers.is_some() && !GRID_EXPERIMENTS.contains(&experiment.as_str()) {
         return Err(cli_err(format!(
-            "--checkpoint/--resume only applies to the pairing-grid experiments ({})",
-            CHECKPOINTABLE.join(" ")
+            "--workers only applies to the pairing-grid experiments ({})",
+            GRID_EXPERIMENTS.join(" ")
         )));
     }
-    if supervise.enabled && experiment != "litmus" && !CHECKPOINTABLE.contains(&experiment.as_str())
-    {
-        return Err(cli_err(format!(
-            "--supervised only applies to the pairing-grid experiments ({}) and litmus",
-            CHECKPOINTABLE.join(" ")
-        )));
-    }
-    if supervise.enabled && checkpoint.is_some() {
+    if csv && experiment == "all" {
         return Err(cli_err(
-            "--supervised and --checkpoint/--resume are mutually exclusive",
+            "--csv does not apply to 'all'; run each experiment with --csv instead",
         ));
-    }
-    if workers.is_some() {
-        if !CHECKPOINTABLE.contains(&experiment.as_str()) {
-            return Err(cli_err(format!(
-                "--workers only applies to the pairing-grid experiments ({})",
-                CHECKPOINTABLE.join(" ")
-            )));
-        }
-        if supervise.enabled || checkpoint.is_some() {
-            return Err(cli_err(
-                "--workers is its own execution mode; drop --supervised/--checkpoint/--resume",
-            ));
-        }
     }
     if !ctx.scale.is_finite() || ctx.scale <= 0.0 {
         return Err(JsmtError::new(
@@ -524,11 +417,10 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
         ctx,
         csv,
         jobs,
-        checkpoint,
-        resume,
-        checkpoint_every,
         bisect,
         supervise,
+        manifest,
+        faults,
         bundle,
         seeds,
         workers,
@@ -541,47 +433,41 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
 pub fn usage() -> String {
     format!(
         "usage: repro [--quick|--full] [--csv] [--scale X] [--repeats N] [--seed S] [--jobs N]\n\
-         \x20            [--checkpoint PATH | --resume PATH] [--checkpoint-every N]\n\
-         \x20            [--supervised [--retries N] [--deadline-secs N] [--livelock-cycles N]\n\
-         \x20             [--cell-checkpoint-every N] [--bundle-dir DIR] [--manifest PATH]\n\
-         \x20             [--faults SPEC]] [--backoff-ms N] [--backoff-cap-ms N]\n\
-         \x20            [--workers N] [--cache-dir DIR] [--seeds N] <experiment>\n\
+         \x20            [--workers N] [--cache-dir DIR] [--retries N] [--deadline-secs N]\n\
+         \x20            [--livelock-cycles N] [--cell-checkpoint-every N] [--bundle-dir DIR]\n\
+         \x20            [--manifest PATH] [--faults SPEC] [--backoff-ms N] [--backoff-cap-ms N]\n\
+         \x20            [--seeds N] <experiment>\n\
          \x20      repro replay-crash <bundle.crash>\n\
          experiments: {} all\n\
          --jobs N fans independent simulations over N worker threads (0/1 = serial;\n\
          default: JSMT_JOBS or all cores). Results are bit-identical at any job count.\n\
-         --checkpoint PATH makes the pairing-grid experiments crash-safe: finished cells\n\
-         are flushed to PATH every --checkpoint-every N cells (default 8) and a rerun\n\
-         resumes from them, emitting bit-identical output. --resume PATH additionally\n\
-         requires the file to exist already.\n\
-         --supervised runs the pairing-grid experiments under the hardened supervisor:\n\
-         a panicking, livelocked or over-deadline cell is isolated, retried --retries\n\
-         times (default 1), and on final failure recorded in the --manifest CSV with a\n\
-         crash-repro bundle in --bundle-dir; surviving cells render normally (exit 3\n\
-         when any cell failed). --faults SPEC (or JSMT_FAULTS) arms the deterministic\n\
+         The pairing-grid experiments ({}) and litmus run every cell under the\n\
+         supervisor: a panicking, livelocked or over-deadline cell is isolated, retried\n\
+         --retries times (default 1) with deterministic seeded backoff\n\
+         (--backoff-ms/--backoff-cap-ms), and on final failure recorded in the --manifest\n\
+         CSV with a crash-repro bundle in --bundle-dir; surviving cells render as CSV and\n\
+         the run exits 3. --faults SPEC (or JSMT_FAULTS) arms the deterministic\n\
          fault-injection plan, e.g. 'panic,component=system,cycle=5000,scope=pair-grid/db+jack'.\n\
-         --workers N fans the pairing-grid experiments over N worker *processes*: a\n\
-         worker dying (kill, abort, OOM) loses at most its in-flight cell, which is\n\
-         reassigned with deterministic seeded backoff (--backoff-ms/--backoff-cap-ms,\n\
-         shared with --supervised retries); exhausted cells degrade to partial results\n\
-         plus the --manifest CSV and exit 3. Output is bit-identical to a serial run\n\
-         at any worker count.\n\
+         --workers N computes the pairing grid in N worker *processes*: a worker dying\n\
+         (kill, abort, OOM) loses at most its in-flight cell, which is reassigned under\n\
+         the same retry policy. Output is bit-identical to a serial run at any worker count.\n\
          --cache-dir DIR (or JSMT_CACHE) attaches the persistent result cache to the\n\
-         pairing-grid experiments: finished cells are stored content-addressed and\n\
-         sealed; a rerun verifies every entry, quarantines corrupt ones (healing by\n\
-         recompute), and simulates only what is missing.\n\
+         pairing grid: every finished cell is stored as it completes, content-addressed\n\
+         and sealed; a rerun verifies every entry, quarantines corrupt ones (healing by\n\
+         recompute), and simulates only what is missing. It is how a killed or partly\n\
+         failed grid resumes: rerun the same command with the same --cache-dir.\n\
          replay-crash <bundle.crash> re-executes a recorded failure deterministically\n\
          and exits 0 when it reproduces.\n\
          litmus [--seeds N] sweeps the sync-bound litmus shapes (message passing,\n\
          store buffer, lock handoff, barrier convoy, wait/notify ping-pong) over N\n\
          seeds each (default 64) and checks every observed interleaving against the\n\
-         shape's allowed-outcome table; --supervised turns a forbidden outcome into\n\
-         an isolated, bundled, replayable cell failure.\n\
+         shape's allowed-outcome table; a forbidden outcome is a failed cell.\n\
          bisect-divergence [--a V] [--b V] [--bench NAME] [--horizon N] [--stride N]\n\
          replays two variants (fastfwd | no-fastfwd | trace-tier | no-trace-tier | seed=N)\n\
          in lockstep and reports\n\
          the first cycle at which their machine states diverge.",
-        EXPERIMENTS.join(" ")
+        EXPERIMENTS.join(" "),
+        GRID_EXPERIMENTS.join(" ")
     )
 }
 
@@ -682,36 +568,34 @@ pub fn run_experiment_on(engine: &Engine, name: &str, ctx: &ExperimentCtx, csv: 
                 exp::render_ablation_jit(&pts)
             }
         }
-        "litmus" => run_litmus(engine, ctx, DEFAULT_LITMUS_SEEDS, csv),
+        "litmus" => {
+            run_litmus(
+                engine,
+                ctx,
+                DEFAULT_LITMUS_SEEDS,
+                csv,
+                &exp::SupervisorCfg::default(),
+            )
+            .output
+        }
         other => panic!("unknown experiment {other} (validated at parse time)"),
     }
 }
 
 /// Run the litmus interleaving sweep: every shape over `seeds` seeds,
-/// checked against the allowed-outcome tables. Bit-identical at any job
-/// count, exec-tier setting, and fast-forward setting.
-pub fn run_litmus(engine: &Engine, ctx: &ExperimentCtx, seeds: u64, csv: bool) -> String {
-    let sweeps = exp::litmus_all_on(engine, seeds, ctx);
-    if csv {
-        exp::csv_litmus(&sweeps)
-    } else {
-        exp::render_litmus(&sweeps)
-    }
-}
-
-/// Run the litmus sweep under the hardened supervisor: a cell whose
-/// outcome leaves its allowed table panics, is isolated, and (when
-/// `cfg.bundle_dir` is set) leaves a replayable crash bundle; surviving
-/// cells render normally. Mirrors [`run_experiment_supervised`] for the
-/// pairing grid.
-pub fn run_litmus_supervised(
+/// each cell under the supervisor. A cell whose outcome leaves its
+/// allowed table is a failed cell (with a replayable crash bundle when
+/// `cfg.bundle_dir` is set); surviving cells render normally. The output
+/// is bit-identical at any job count, exec-tier setting, and
+/// fast-forward setting.
+pub fn run_litmus(
     engine: &Engine,
     ctx: &ExperimentCtx,
     seeds: u64,
     csv: bool,
     cfg: &exp::SupervisorCfg,
 ) -> SupervisedOutcome {
-    let sl = exp::litmus_supervised(engine, seeds, ctx, cfg);
+    let sl = exp::litmus_sweeps(engine, seeds, ctx, cfg);
     let manifest = exp::manifest_csv(&sl.failures);
     let output = if sl.failures.is_empty() && !csv {
         exp::render_litmus(&sl.sweeps)
@@ -752,36 +636,7 @@ pub fn render_grid_experiment(
     }
 }
 
-/// Run a pairing-grid experiment with crash-safe progress: finished
-/// cells and the solo-baseline cache are flushed to `path` every
-/// `every` cells, and an existing file is resumed. The output is
-/// bit-identical to an uninterrupted [`run_experiment_on`].
-///
-/// # Errors
-///
-/// Returns a typed [`JsmtError`] when the checkpoint file is corrupt,
-/// was taken with different experiment parameters, or cannot be
-/// written.
-pub fn run_experiment_ckpt(
-    engine: &Engine,
-    name: &str,
-    ctx: &ExperimentCtx,
-    csv: bool,
-    path: &Path,
-    every: usize,
-) -> Result<String, JsmtError> {
-    let grid = exp::pair_matrix_ckpt(engine, ctx, path, every, None)
-        .map_err(|e| JsmtError::from(e).context(format!("checkpoint '{}'", path.display())))?
-        .ok_or_else(|| {
-            JsmtError::new(
-                ErrorKind::Experiment,
-                "checkpointed run stopped with grid cells still pending",
-            )
-        })?;
-    Ok(render_grid_experiment(name, &grid, ctx, csv))
-}
-
-/// Outcome of a supervised pairing-grid run.
+/// Outcome of a pairing-grid or litmus run.
 #[derive(Debug, Clone)]
 pub struct SupervisedOutcome {
     /// Rendered experiment output: the normal rendering when every cell
@@ -794,21 +649,28 @@ pub struct SupervisedOutcome {
     pub failures: Vec<exp::CellFailure>,
 }
 
-/// Run a pairing-grid experiment under the hardened supervisor: cells
-/// that panic, livelock, or overrun the deadline are isolated, retried
-/// per `cfg`, and reported in the manifest instead of aborting the
-/// grid. A clean supervised run renders byte-identically to
-/// [`run_experiment_on`].
-pub fn run_experiment_supervised(
+/// Run a pairing-grid experiment through the grid executor on
+/// `transport`: cells that panic, livelock, overrun the deadline or lose
+/// their worker are retried per `cfg` and then reported in the manifest
+/// instead of aborting the grid. A complete grid renders byte-identically
+/// to [`run_experiment_on`] on any transport; a partial one degrades to
+/// the CSV of the surviving cells.
+///
+/// # Errors
+///
+/// Returns a typed [`JsmtError`] only for transport faults (no worker
+/// process could be started, a worker broke the protocol).
+pub fn run_grid(
     engine: &Engine,
+    transport: exp::Transport<'_>,
     name: &str,
     ctx: &ExperimentCtx,
     csv: bool,
     cfg: &exp::SupervisorCfg,
-) -> SupervisedOutcome {
-    let sg = exp::pair_matrix_supervised(engine, ctx, cfg);
+) -> Result<SupervisedOutcome, JsmtError> {
+    let sg = exp::pair_grid(engine, transport, ctx, cfg)?;
     let manifest = sg.manifest_csv();
-    if sg.is_complete() {
+    Ok(if sg.is_complete() {
         let grid = sg.into_grid();
         SupervisedOutcome {
             output: render_grid_experiment(name, &grid, ctx, csv),
@@ -823,7 +685,7 @@ pub fn run_experiment_supervised(
             manifest,
             failures: sg.failures,
         }
-    }
+    })
 }
 
 /// Resolve the persistent result-cache directory: the `--cache-dir`
@@ -849,18 +711,14 @@ pub fn resolve_cache(
     }
 }
 
-/// Build the shard-dispatch policy for this invocation, including the
-/// worker command line (this binary in `--shard-worker` mode with the
-/// same context, fault plan, and cache directory).
+/// The worker fleet for `--workers N`: this binary in `--shard-worker`
+/// mode with the same context and fault plan.
 ///
 /// # Errors
 ///
 /// Returns a typed [`JsmtError`] when the current executable path
 /// cannot be determined.
-pub fn shard_cfg(
-    cli: &Cli,
-    cache: Option<std::sync::Arc<jsmt_cache::Cache>>,
-) -> Result<exp::ShardCfg, JsmtError> {
+pub fn shard_cfg(cli: &Cli) -> Result<exp::ShardCfg, JsmtError> {
     let exe = std::env::current_exe()
         .map_err(|e| JsmtError::from(e).context("locating the worker binary"))?;
     let mut argv = vec![
@@ -876,10 +734,8 @@ pub fn shard_cfg(
         cli.supervise.livelock_cycles.to_string(),
     ];
     // Workers arm the same fault plan as the parent (flag beats env,
-    // like the parent's own resolution) and write through the same
-    // cache directory.
+    // like the parent's own resolution).
     if let Some(spec) = cli
-        .supervise
         .faults
         .clone()
         .or_else(|| std::env::var("JSMT_FAULTS").ok().filter(|s| !s.is_empty()))
@@ -887,57 +743,10 @@ pub fn shard_cfg(
         argv.push("--faults".to_string());
         argv.push(spec);
     }
-    if let Some(cache) = &cache {
-        argv.push("--cache-dir".to_string());
-        argv.push(cache.dir().display().to_string());
-    }
     Ok(exp::ShardCfg {
         workers: cli.workers.unwrap_or(2),
-        retries: cli.supervise.retries,
-        deadline: (cli.supervise.deadline_secs > 0)
-            .then(|| std::time::Duration::from_secs(cli.supervise.deadline_secs)),
-        backoff_base: std::time::Duration::from_millis(cli.supervise.backoff_ms),
-        backoff_cap: std::time::Duration::from_millis(
-            cli.supervise.backoff_cap_ms.max(cli.supervise.backoff_ms),
-        ),
         worker_argv: argv,
-        cache,
     })
-}
-
-/// Run a pairing-grid experiment over crash-tolerant worker processes
-/// (`--workers N`). Same outcome contract as
-/// [`run_experiment_supervised`]: a fully-finished grid renders
-/// byte-identically to a serial run; a degraded one returns the
-/// partial-results CSV plus the failure manifest.
-///
-/// # Errors
-///
-/// Returns a typed [`JsmtError`] only for dispatcher-level faults (no
-/// worker could be spawned, a worker broke the protocol); cell-level
-/// failures degrade instead.
-pub fn run_experiment_sharded(
-    name: &str,
-    ctx: &ExperimentCtx,
-    csv: bool,
-    cfg: &exp::ShardCfg,
-) -> Result<SupervisedOutcome, JsmtError> {
-    let sg = exp::pair_matrix_sharded(ctx, cfg)?;
-    let manifest = sg.manifest_csv();
-    if sg.is_complete() {
-        let grid = sg.into_grid();
-        Ok(SupervisedOutcome {
-            output: render_grid_experiment(name, &grid, ctx, csv),
-            manifest,
-            failures: Vec::new(),
-        })
-    } else {
-        Ok(SupervisedOutcome {
-            output: sg.csv(),
-            manifest,
-            failures: sg.failures,
-        })
-    }
 }
 
 /// Replay a crash-repro bundle and render a human-readable report.
@@ -1087,27 +896,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flags_parse() {
-        let cli = parse_args(&s(&["--checkpoint", "grid.ck", "fig8"])).unwrap();
-        assert_eq!(cli.checkpoint.as_deref(), Some("grid.ck"));
-        assert!(!cli.resume);
-        assert_eq!(cli.checkpoint_every, 8);
-
-        let cli = parse_args(&s(&[
-            "--resume",
-            "grid.ck",
-            "--checkpoint-every",
-            "3",
-            "fig9",
-        ]))
-        .unwrap();
-        assert_eq!(cli.checkpoint.as_deref(), Some("grid.ck"));
-        assert!(cli.resume);
-        assert_eq!(cli.checkpoint_every, 3);
-
-        // Checkpointing is grid-only.
-        assert!(parse_args(&s(&["--checkpoint", "x.ck", "fig1"])).is_err());
-        assert!(parse_args(&s(&["--checkpoint"])).is_err());
+    fn removed_modes_and_csv_all_are_rejected() {
+        // One executor, with the result cache as its only persistence:
+        // the flags of the old execution modes are unknown now.
+        for flags in [
+            &["--supervised"][..],
+            &["--checkpoint", "grid.ck"],
+            &["--resume", "grid.ck"],
+            &["--checkpoint-every", "3"],
+        ] {
+            let mut args = s(flags);
+            args.push("fig8".into());
+            let err = parse_args(&args).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Cli, "{flags:?}");
+        }
+        // `all` has no CSV form: refuse instead of ignoring the flag.
+        let err = parse_args(&s(&["--csv", "all"])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Cli);
+        assert!(parse_args(&s(&["all", "--csv"])).is_err());
     }
 
     #[test]
@@ -1149,7 +955,6 @@ mod tests {
     #[test]
     fn supervised_flags_parse() {
         let cli = parse_args(&s(&[
-            "--supervised",
             "--retries",
             "2",
             "--deadline-secs",
@@ -1167,24 +972,15 @@ mod tests {
             "fig8",
         ]))
         .unwrap();
-        assert!(cli.supervise.enabled);
         assert_eq!(cli.supervise.retries, 2);
-        assert_eq!(cli.supervise.deadline_secs, 30);
+        assert_eq!(cli.supervise.deadline, Some(Duration::from_secs(30)));
         assert_eq!(cli.supervise.livelock_cycles, 500_000);
-        assert_eq!(cli.supervise.cell_checkpoint_every, 10_000);
-        assert_eq!(cli.supervise.bundle_dir.as_deref(), Some("crashes"));
-        assert_eq!(cli.supervise.manifest.as_deref(), Some("failures.csv"));
-        assert_eq!(
-            cli.supervise.faults.as_deref(),
-            Some("panic,component=gc,cycle=100")
-        );
-        let cfg = cli.supervise.cfg();
-        assert_eq!(cfg.retries, 2);
-        assert_eq!(cfg.deadline, Some(std::time::Duration::from_secs(30)));
-
-        // Supervision is grid-only and incompatible with --checkpoint.
-        assert!(parse_args(&s(&["--supervised", "fig1"])).is_err());
-        assert!(parse_args(&s(&["--supervised", "--checkpoint", "x.ck", "fig8"])).is_err());
+        assert_eq!(cli.supervise.checkpoint_every, 10_000);
+        assert_eq!(cli.supervise.bundle_dir, Some("crashes".into()));
+        assert_eq!(cli.manifest.as_deref(), Some("failures.csv"));
+        assert_eq!(cli.faults.as_deref(), Some("panic,component=gc,cycle=100"));
+        // No deadline unless one is asked for.
+        assert_eq!(parse_args(&s(&["fig8"])).unwrap().supervise.deadline, None);
     }
 
     #[test]
@@ -1206,14 +1002,15 @@ mod tests {
         assert_eq!(cli.workers, Some(4));
         assert_eq!(cli.cache_dir.as_deref(), Some("cells"));
         assert!(!cli.shard_worker);
-        assert_eq!(cli.supervise.backoff_ms, 10);
-        assert_eq!(cli.supervise.backoff_cap_ms, 80);
-        let scfg = shard_cfg(&cli, None).unwrap();
+        assert_eq!(cli.supervise.retries, 2);
+        assert_eq!(cli.supervise.backoff_base, Duration::from_millis(10));
+        assert_eq!(cli.supervise.backoff_cap, Duration::from_millis(80));
+        let scfg = shard_cfg(&cli).unwrap();
         assert_eq!(scfg.workers, 4);
-        assert_eq!(scfg.retries, 2);
-        assert_eq!(scfg.backoff_base, std::time::Duration::from_millis(10));
         assert!(scfg.worker_argv.contains(&"--shard-worker".to_string()));
         assert!(scfg.worker_argv.contains(&"--seed".to_string()));
+        // Workers never open the cache: the executor in the parent owns it.
+        assert!(!scfg.worker_argv.contains(&"--cache-dir".to_string()));
 
         // Zero workers clamps to one; garbage is rejected.
         assert_eq!(
@@ -1221,15 +1018,20 @@ mod tests {
             Some(1)
         );
         assert!(parse_args(&s(&["--workers", "x", "fig8"])).is_err());
-        // Shard dispatch is grid-only and its own execution mode.
+        // Worker processes are a transport of the pairing grid only.
         assert!(parse_args(&s(&["--workers", "2", "fig1"])).is_err());
-        assert!(parse_args(&s(&["--workers", "2", "--supervised", "fig8"])).is_err());
-        assert!(parse_args(&s(&["--workers", "2", "--checkpoint", "x.ck", "fig8"])).is_err());
+        assert!(parse_args(&s(&["--workers", "2", "litmus"])).is_err());
 
-        // The supervisor picks up the backoff knobs too.
-        let cfg = cli.supervise.cfg();
-        assert_eq!(cfg.backoff_base, std::time::Duration::from_millis(10));
-        assert_eq!(cfg.backoff_cap, std::time::Duration::from_millis(80));
+        // A cap below the base is raised to it.
+        let cli = parse_args(&s(&[
+            "--backoff-ms",
+            "50",
+            "--backoff-cap-ms",
+            "10",
+            "fig8",
+        ]))
+        .unwrap();
+        assert_eq!(cli.supervise.backoff_cap, Duration::from_millis(50));
     }
 
     #[test]
@@ -1242,14 +1044,11 @@ mod tests {
             "3",
             "--seed",
             "7",
-            "--cache-dir",
-            "cells",
         ]))
         .unwrap();
         assert!(cli.shard_worker);
         assert_eq!(cli.ctx.scale, 0.05);
         assert_eq!(cli.ctx.seed, 7);
-        assert_eq!(cli.cache_dir.as_deref(), Some("cells"));
         // No experiment argument is accepted in worker mode.
         assert!(parse_args(&s(&["--shard-worker", "fig8"])).is_err());
         assert!(parse_args(&s(&["--shard-worker", "--scale", "0"])).is_err());
@@ -1271,9 +1070,10 @@ mod tests {
         assert!(parse_args(&s(&["--seeds", "x", "litmus"])).is_err());
         assert!(parse_args(&s(&["--seeds"])).is_err());
 
-        // Supervision extends to litmus; cell checkpointing does not.
-        assert!(parse_args(&s(&["--supervised", "litmus"])).is_ok());
-        assert!(parse_args(&s(&["--checkpoint", "x.ck", "litmus"])).is_err());
+        // The supervisor's flags apply to the litmus sweep.
+        let cli = parse_args(&s(&["--retries", "0", "--manifest", "m.csv", "litmus"])).unwrap();
+        assert_eq!(cli.supervise.retries, 0);
+        assert_eq!(cli.manifest.as_deref(), Some("m.csv"));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The `repro` binary: regenerate any table or figure of the paper.
 //!
 //! Exit codes: 0 = success, 1 = runtime error (or a `replay-crash`
-//! that did not reproduce), 2 = usage error, 3 = supervised run
-//! completed with failed cells (partial results were emitted).
+//! that did not reproduce), 2 = usage error, 3 = a pairing-grid or
+//! litmus run completed with failed cells (partial results were
+//! emitted).
 
 use jsmt_bench::{
-    parse_args, resolve_cache, run_all_on, run_bisect, run_experiment_ckpt, run_experiment_on,
-    run_experiment_sharded, run_experiment_supervised, run_litmus, run_litmus_supervised,
-    run_replay_crash, shard_cfg, usage, Cli, CHECKPOINTABLE,
+    parse_args, resolve_cache, run_all_on, run_bisect, run_experiment_on, run_grid, run_litmus,
+    run_replay_crash, shard_cfg, usage, Cli, GRID_EXPERIMENTS,
 };
-use jsmt_core::experiments::Engine;
+use jsmt_core::experiments::{Engine, Transport};
 use jsmt_core::JsmtError;
 
 fn main() {
@@ -35,7 +35,6 @@ fn main() {
 /// wins). Returns whether a plan is active.
 fn arm_faults(cli: &Cli) -> Result<bool, JsmtError> {
     let spec = cli
-        .supervise
         .faults
         .clone()
         .or_else(|| std::env::var("JSMT_FAULTS").ok().filter(|s| !s.is_empty()));
@@ -63,19 +62,19 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
     }
 
     if cli.shard_worker {
-        // Service mode: arm faults, attach the cache, serve shard
-        // requests on stdin until the dispatcher says exit.
+        // Service mode: arm faults, serve shard requests on stdin until
+        // the dispatcher says exit.
         arm_faults(cli)?;
-        let cache = resolve_cache(cli.cache_dir.as_deref())?;
-        jsmt_core::experiments::shard_worker_main(&cli.ctx, cache, cli.supervise.livelock_cycles)?;
+        jsmt_core::experiments::shard_worker_main(&cli.ctx, cli.supervise.livelock_cycles)?;
         return Ok(0);
     }
 
     let faults_armed = arm_faults(cli)?;
     let mut engine = Engine::new(cli.parallelism());
-    // The persistent result cache serves every pairing-grid execution
-    // mode; other experiments have no cacheable cells yet.
-    let cache = if CHECKPOINTABLE.contains(&cli.experiment.as_str()) {
+    // The persistent result cache serves the pairing grid on either
+    // transport; other experiments have no cacheable cells yet.
+    let grid = GRID_EXPERIMENTS.contains(&cli.experiment.as_str());
+    let cache = if grid {
         resolve_cache(cli.cache_dir.as_deref())?
     } else {
         None
@@ -97,19 +96,31 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
         run_all_on(&engine, &cli.ctx)
     } else if cli.experiment == "bisect-divergence" {
         run_bisect(&cli.bisect, &cli.ctx)
-    } else if cli.supervise.enabled {
-        let outcome = if cli.experiment == "litmus" {
-            run_litmus_supervised(&engine, &cli.ctx, cli.seeds, cli.csv, &cli.supervise.cfg())
-        } else {
-            run_experiment_supervised(
+    } else if grid || cli.experiment == "litmus" {
+        let outcome = if grid {
+            let shard = cli.workers.map(|_| shard_cfg(cli)).transpose()?;
+            let transport = match &shard {
+                Some(shard) => {
+                    eprintln!(
+                        "# jsmt repro: dispatching over {} worker process(es)",
+                        shard.workers
+                    );
+                    Transport::Processes(shard)
+                }
+                None => Transport::Threads,
+            };
+            run_grid(
                 &engine,
+                transport,
                 &cli.experiment,
                 &cli.ctx,
                 cli.csv,
-                &cli.supervise.cfg(),
-            )
+                &cli.supervise,
+            )?
+        } else {
+            run_litmus(&engine, &cli.ctx, cli.seeds, cli.csv, &cli.supervise)
         };
-        if let Some(path) = &cli.supervise.manifest {
+        if let Some(path) = &cli.manifest {
             std::fs::write(path, &outcome.manifest).map_err(|e| {
                 JsmtError::from(e).context(format!("writing failure manifest '{path}'"))
             })?;
@@ -125,45 +136,6 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
             exit = 3;
         }
         outcome.output
-    } else if cli.workers.is_some() {
-        let scfg = shard_cfg(cli, cache.clone())?;
-        eprintln!(
-            "# jsmt repro: dispatching over {} worker process(es)",
-            scfg.workers
-        );
-        let outcome = run_experiment_sharded(&cli.experiment, &cli.ctx, cli.csv, &scfg)?;
-        if let Some(path) = &cli.supervise.manifest {
-            std::fs::write(path, &outcome.manifest).map_err(|e| {
-                JsmtError::from(e).context(format!("writing failure manifest '{path}'"))
-            })?;
-        }
-        for f in &outcome.failures {
-            eprintln!("# cell failed: {f}");
-        }
-        if !outcome.failures.is_empty() {
-            eprintln!(
-                "# jsmt repro: {} cell(s) failed; emitting partial results",
-                outcome.failures.len()
-            );
-            exit = 3;
-        }
-        outcome.output
-    } else if let Some(path) = &cli.checkpoint {
-        let path = std::path::Path::new(path);
-        if cli.resume && !path.exists() {
-            eprintln!("--resume: no such checkpoint: {}", path.display());
-            std::process::exit(2);
-        }
-        run_experiment_ckpt(
-            &engine,
-            &cli.experiment,
-            &cli.ctx,
-            cli.csv,
-            path,
-            cli.checkpoint_every,
-        )?
-    } else if cli.experiment == "litmus" {
-        run_litmus(&engine, &cli.ctx, cli.seeds, cli.csv)
     } else {
         run_experiment_on(&engine, &cli.experiment, &cli.ctx, cli.csv)
     };
@@ -171,8 +143,8 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
     // Per-stage timing + baseline-cache stats, so the --jobs speedup is
     // observable without external tooling.
     eprint!("{}", engine.timing_report());
-    // Cache hit/miss/quarantine accounting (the CI determinism job
-    // asserts `misses=0` on a warm rerun from this line).
+    // Cache hit/miss/store/quarantine accounting. The executor does
+    // every lookup and store in this process, whatever the transport.
     if let Some(cache) = &cache {
         eprintln!("{}", cache.report());
     }

@@ -5,9 +5,9 @@
 //! ROADMAP item 2's exit criterion is "any cell ever simulated anywhere
 //! is never simulated again". This crate is the *anywhere*: a flat
 //! on-disk store of experiment cell results, keyed by the FNV-1a content
-//! hash of a [`CacheKey`] (config fingerprint, workload label, seed) and
-//! shared between serial runs, supervised runs, and every shard worker
-//! process of a multi-process grid.
+//! hash of a [`CacheKey`] (config fingerprint, workload label, seed),
+//! read and written by the grid executor on either of its transports
+//! and shared by every run pointed at the same directory.
 //!
 //! ## Trust model: verify everything, heal everything
 //!
@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use jsmt_snapshot::{fnv64, open, seal, Reader, SnapshotError, Writer};
 
-/// Snapshot kind tag of a cache entry (1 = system, 2 = grid checkpoint,
-/// 3 = crash bundle, 4 = cache entry).
+/// Snapshot kind tag of a cache entry (1 = system, 2 = retired grid
+/// checkpoint, 3 = crash bundle, 4 = cache entry).
 pub const KIND_CACHE_ENTRY: u32 = 4;
 
 /// Name of the append-only quarantine manifest kept in the cache

@@ -115,15 +115,6 @@ impl From<jsmt_snapshot::SnapshotError> for JsmtError {
     }
 }
 
-impl From<crate::experiments::CkptError> for JsmtError {
-    fn from(e: crate::experiments::CkptError) -> Self {
-        match e {
-            crate::experiments::CkptError::Io(io) => io.into(),
-            crate::experiments::CkptError::Snapshot(s) => s.into(),
-        }
-    }
-}
-
 /// Extension adding `.context(..)` to `Result`s whose error converts
 /// into [`JsmtError`].
 pub trait Context<T> {

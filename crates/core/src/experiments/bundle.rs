@@ -22,8 +22,8 @@ use std::path::{Path, PathBuf};
 use jsmt_snapshot::{open, seal, SnapshotError, Writer};
 use jsmt_workloads::BenchmarkId;
 
+use super::grid::{Cell, PAIR_STAGE, SOLO_STAGE};
 use super::litmus::run_checked_cell;
-use super::pairing::run_pair;
 use super::supervise::{CellFailure, CrashTail, FailureKind, SupervisorCfg};
 use super::{solo_baseline_cycles, Engine, ExperimentCtx};
 use crate::error::{Context, ErrorKind, JsmtError};
@@ -249,11 +249,10 @@ impl CrashBundle {
     /// parses.
     pub fn replay(&self) -> Result<ReplayReport, JsmtError> {
         let ctx = self.ctx();
-        let cell = ReplayCell::parse(&self.stage, &self.label)?;
         // Baselines first, with no faults armed (matches the original
-        // run's prewarm stage, which completed before this cell died).
+        // run's baseline stage, which completed before this cell died).
         jsmt_faults::clear();
-        let baselines = cell.baselines(&ctx);
+        let cell = ReplayCell::parse(&self.stage, &self.label, &ctx)?;
 
         struct Disarm;
         impl Drop for Disarm {
@@ -291,7 +290,7 @@ impl CrashBundle {
             &cfg,
             &ctx,
             vec![(self.label.clone(), cell)],
-            |cell| cell.run(&ctx, &baselines),
+            |cell| cell.run(&ctx),
         );
         let observed = out.into_iter().next().expect("one replay cell").err();
         let reproduced = match &observed {
@@ -322,30 +321,35 @@ impl CrashBundle {
 /// A runnable reconstruction of the failed cell.
 #[derive(Debug)]
 enum ReplayCell {
-    Pair(BenchmarkId, BenchmarkId),
-    Solo(BenchmarkId),
+    /// A pairing-grid cell, computed exactly as the grid executor does.
+    Grid(Cell),
+    /// A litmus cell: shape and sweep point.
     Litmus(BenchmarkId, u64),
 }
 
 impl ReplayCell {
-    fn parse(stage: &str, label: &str) -> Result<Self, JsmtError> {
+    /// Rebuild the cell from its stage and label. A pair cell's solo
+    /// baselines are simulated here, so call this with no faults armed.
+    fn parse(stage: &str, label: &str, ctx: &ExperimentCtx) -> Result<Self, JsmtError> {
         let unknown = |what: &str| {
             JsmtError::new(
                 ErrorKind::Replay,
                 format!("bundle records unknown {what} '{label}' in stage '{stage}'"),
             )
         };
+        let bench = |name: &str| BenchmarkId::parse(name).ok_or_else(|| unknown("benchmark"));
         match stage {
-            "pair-grid" => {
+            PAIR_STAGE => {
                 let (a, b) = label.split_once('+').ok_or_else(|| unknown("pair label"))?;
-                Ok(ReplayCell::Pair(
-                    BenchmarkId::parse(a).ok_or_else(|| unknown("benchmark"))?,
-                    BenchmarkId::parse(b).ok_or_else(|| unknown("benchmark"))?,
-                ))
+                let (a, b) = (bench(a)?, bench(b)?);
+                Ok(ReplayCell::Grid(Cell::Pair {
+                    a,
+                    b,
+                    a_solo: solo_baseline_cycles(a, ctx),
+                    b_solo: solo_baseline_cycles(b, ctx),
+                }))
             }
-            "solo-baselines" => Ok(ReplayCell::Solo(
-                BenchmarkId::parse(label).ok_or_else(|| unknown("benchmark"))?,
-            )),
+            SOLO_STAGE => Ok(ReplayCell::Grid(Cell::Solo(bench(label)?))),
             "litmus-sweep" => {
                 let (shape, seed) = label
                     .split_once("@s")
@@ -363,25 +367,16 @@ impl ReplayCell {
         }
     }
 
-    fn baselines(&self, ctx: &ExperimentCtx) -> (u64, u64) {
+    fn run(&self, ctx: &ExperimentCtx) {
         match self {
-            ReplayCell::Pair(a, b) => {
-                (solo_baseline_cycles(*a, ctx), solo_baseline_cycles(*b, ctx))
+            ReplayCell::Grid(cell) => {
+                cell.compute(ctx);
             }
-            ReplayCell::Solo(_) | ReplayCell::Litmus(..) => (0, 0),
-        }
-    }
-
-    fn run(&self, ctx: &ExperimentCtx, baselines: &(u64, u64)) -> u64 {
-        match self {
-            ReplayCell::Pair(a, b) => {
-                let o = run_pair(*a, *b, baselines.0, baselines.1, ctx);
-                o.completions.0 + o.completions.1
-            }
-            ReplayCell::Solo(id) => solo_baseline_cycles(*id, ctx),
             // Re-runs the same checked cell body as the sweep, so a
             // forbidden outcome panics identically on replay.
-            ReplayCell::Litmus(shape, seed) => run_checked_cell(*shape, *seed, ctx).cycles,
+            ReplayCell::Litmus(shape, seed) => {
+                run_checked_cell(*shape, *seed, ctx);
+            }
         }
     }
 }
@@ -446,15 +441,22 @@ mod tests {
 
     #[test]
     fn replay_cell_parsing_rejects_unknown_shapes() {
-        assert!(ReplayCell::parse("pair-grid", "compress+db").is_ok());
-        assert!(ReplayCell::parse("solo-baselines", "jess").is_ok());
-        let e = ReplayCell::parse("mystery-stage", "x").unwrap_err();
+        // Tiny scale: a pair label simulates its two baselines.
+        let ctx = ExperimentCtx {
+            scale: 0.01,
+            repeats: 1,
+            seed: 0xA5,
+        };
+        let parse = |stage: &str, label: &str| ReplayCell::parse(stage, label, &ctx);
+        assert!(parse("pair-grid", "compress+db").is_ok());
+        assert!(parse("solo-baselines", "jess").is_ok());
+        let e = parse("mystery-stage", "x").unwrap_err();
         assert_eq!(e.kind(), ErrorKind::Replay);
-        assert!(ReplayCell::parse("pair-grid", "nosuch+db").is_err());
-        assert!(ReplayCell::parse("pair-grid", "noplus").is_err());
-        assert!(ReplayCell::parse("litmus-sweep", "litmus-mp@s7").is_ok());
-        assert!(ReplayCell::parse("litmus-sweep", "compress@s7").is_err());
-        assert!(ReplayCell::parse("litmus-sweep", "litmus-mp@sseven").is_err());
-        assert!(ReplayCell::parse("litmus-sweep", "litmus-mp").is_err());
+        assert!(parse("pair-grid", "nosuch+db").is_err());
+        assert!(parse("pair-grid", "noplus").is_err());
+        assert!(parse("litmus-sweep", "litmus-mp@s7").is_ok());
+        assert!(parse("litmus-sweep", "compress@s7").is_err());
+        assert!(parse("litmus-sweep", "litmus-mp@sseven").is_err());
+        assert!(parse("litmus-sweep", "litmus-mp").is_err());
     }
 }

@@ -3,8 +3,8 @@
 use jsmt_report::Csv;
 
 use super::{
-    JitPoint, L1Point, LitmusSweep, MtPoint, PairGrid, PartitionPoint, PrefetchPoint, SinglePoint,
-    ThreadPoint,
+    JitPoint, L1Point, LitmusSweep, MtPoint, PairGrid, PairOutcome, PartitionPoint, PrefetchPoint,
+    SinglePoint, ThreadPoint,
 };
 
 /// CSV of the multithreaded characterization (Table 2 / Figures 1–7 data).
@@ -57,6 +57,12 @@ pub fn csv_mt(points: &[MtPoint]) -> String {
 
 /// CSV of the 9×9 pairing grid (Figures 8–9 data).
 pub fn csv_grid(grid: &PairGrid) -> String {
+    csv_pairs(grid.outcomes.iter().flatten())
+}
+
+/// The pairing-grid CSV over any run of co-run outcomes: a partial grid
+/// renders exactly the rows a complete one would have for its cells.
+pub(crate) fn csv_pairs<'a>(outcomes: impl IntoIterator<Item = &'a PairOutcome>) -> String {
     let mut c = Csv::new(vec![
         "a".into(),
         "b".into(),
@@ -65,17 +71,15 @@ pub fn csv_grid(grid: &PairGrid) -> String {
         "combined".into(),
         "pair_tc_mpki".into(),
     ]);
-    for row in &grid.outcomes {
-        for o in row {
-            c.row(vec![
-                o.a.name().into(),
-                o.b.name().into(),
-                format!("{:.4}", o.speedup_a),
-                format!("{:.4}", o.speedup_b),
-                format!("{:.4}", o.combined),
-                format!("{:.3}", o.tc_mpki),
-            ]);
-        }
+    for o in outcomes {
+        c.row(vec![
+            o.a.name().into(),
+            o.b.name().into(),
+            format!("{:.4}", o.speedup_a),
+            format!("{:.4}", o.speedup_b),
+            format!("{:.4}", o.combined),
+            format!("{:.3}", o.tc_mpki),
+        ]);
     }
     c.render()
 }

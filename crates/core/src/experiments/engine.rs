@@ -163,54 +163,15 @@ impl BaselineCache {
         }
     }
 
-    /// Serialize every *filled* slot, sorted by key for canonical bytes.
-    fn export(&self, w: &mut jsmt_snapshot::Writer) {
-        let mut entries: Vec<(BaselineKey, u64)> = {
-            let slots = self.slots.lock().expect("baseline cache poisoned");
-            slots
-                .iter()
-                .filter_map(|(&key, slot)| slot.get().map(|&v| (key, v)))
-                .collect()
+    /// Fill a key's slot with a value obtained without a request (the
+    /// result cache, a worker process). A slot already filled keeps its
+    /// value: both came from the same pure computation.
+    fn remember(&self, key: BaselineKey, value: u64) {
+        let slot = {
+            let mut slots = self.slots.lock().expect("baseline cache poisoned");
+            Arc::clone(slots.entry(key).or_default())
         };
-        entries.sort_by_key(|&((id, scale, seed, repeats, ht), _)| {
-            (id.tag(), scale, seed, repeats, ht)
-        });
-        w.put_usize(entries.len());
-        for ((id, scale_bits, seed, repeats, ht), value) in entries {
-            w.put_u8(id.tag());
-            w.put_u64(scale_bits);
-            w.put_u64(seed);
-            w.put_u64(repeats);
-            w.put_bool(ht);
-            w.put_u64(value);
-        }
-    }
-
-    /// Pre-fill slots from [`Self::export`] bytes. Imported entries are
-    /// warm-start data, not requests: the hit/miss statistics are left
-    /// untouched. A conflicting already-filled slot is an error (the
-    /// snapshot disagrees with a baseline this process simulated).
-    fn import(
-        &self,
-        r: &mut jsmt_snapshot::Reader<'_>,
-    ) -> Result<(), jsmt_snapshot::SnapshotError> {
-        use jsmt_snapshot::SnapshotError;
-        let n = r.get_len(34)?;
-        let mut slots = self.slots.lock().expect("baseline cache poisoned");
-        for _ in 0..n {
-            let id = BenchmarkId::from_tag(r.get_u8()?).ok_or(SnapshotError::Corrupt(
-                "unknown benchmark tag in baseline cache",
-            ))?;
-            let key: BaselineKey = (id, r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_bool()?);
-            let value = r.get_u64()?;
-            let slot = Arc::clone(slots.entry(key).or_default());
-            if slot.set(value).is_err() && *slot.get().expect("slot filled") != value {
-                return Err(SnapshotError::Corrupt(
-                    "imported baseline contradicts a computed one",
-                ));
-            }
-        }
-        Ok(())
+        let _ = slot.set(value);
     }
 }
 
@@ -218,8 +179,8 @@ impl BaselineCache {
 pub struct Engine {
     par: Parallelism,
     baselines: BaselineCache,
-    /// Optional persistent result cache (`--cache-dir` / `JSMT_CACHE`);
-    /// cells found here are verified, never recomputed.
+    /// Optional persistent result cache (`--cache-dir` / `JSMT_CACHE`),
+    /// consulted and filled by the grid executor.
     result_cache: Option<Arc<jsmt_cache::Cache>>,
     job_timings: Mutex<Vec<JobTiming>>,
     stage_timings: Mutex<Vec<StageTiming>>,
@@ -252,9 +213,9 @@ impl Engine {
         self.par
     }
 
-    /// Attach a persistent result cache: solo baselines and pair cells
-    /// are looked up (and, on miss, stored) there, in addition to the
-    /// in-memory memoization. A cached cell is byte-identical to a
+    /// Attach a persistent result cache: the grid executor
+    /// ([`super::pair_grid`]) looks every cell up there before dispatch
+    /// and stores each computed one. A cached cell is byte-identical to a
     /// simulated one, so attaching a cache never changes output.
     pub fn set_result_cache(&mut self, cache: Arc<jsmt_cache::Cache>) {
         self.result_cache = Some(cache);
@@ -347,32 +308,21 @@ impl Engine {
     }
 
     /// Memoized [`solo_baseline_cycles`]: the first request per
-    /// `(benchmark, scale, seed, repeats)` consults the persistent
-    /// result cache (when attached) and simulates only on a true miss;
-    /// every later request (any worker) is an in-memory hit.
+    /// `(benchmark, scale, seed, repeats)` simulates; every later request
+    /// (any worker) is an in-memory hit.
     pub fn solo_baseline(&self, id: BenchmarkId, ctx: &ExperimentCtx) -> u64 {
         self.baselines
-            .get_or_compute(baseline_key(id, ctx, false), || match &self.result_cache {
-                Some(cache) => super::rescache::cached_solo_baseline(cache, id, ctx),
-                None => solo_baseline_cycles(id, ctx),
+            .get_or_compute(baseline_key(id, ctx, false), || {
+                solo_baseline_cycles(id, ctx)
             })
     }
 
-    /// [`super::run_pair`] through the persistent result cache (when
-    /// attached): the cell is simulated only if no verified entry
-    /// exists, and a fresh simulation is stored for every future run.
-    pub fn run_pair_cached(
-        &self,
-        a: BenchmarkId,
-        b: BenchmarkId,
-        ctx: &ExperimentCtx,
-    ) -> super::PairOutcome {
-        let a_solo = self.solo_baseline(a, ctx);
-        let b_solo = self.solo_baseline(b, ctx);
-        match &self.result_cache {
-            Some(cache) => super::rescache::cached_run_pair(cache, a, b, a_solo, b_solo, ctx),
-            None => super::run_pair(a, b, a_solo, b_solo, ctx),
-        }
+    /// Record a baseline the grid executor obtained without simulating
+    /// it here (from the result cache or a worker process), so later
+    /// requests hit. Not a request: the statistics are untouched.
+    pub(crate) fn remember_baseline(&self, id: BenchmarkId, ctx: &ExperimentCtx, cycles: u64) {
+        self.baselines
+            .remember(baseline_key(id, ctx, false), cycles);
     }
 
     /// Compute the baselines for `ids` as one engine stage, so that the
@@ -386,21 +336,6 @@ impl Engine {
     /// Baseline-cache statistics accumulated so far.
     pub fn baseline_stats(&self) -> BaselineCacheStats {
         self.baselines.stats()
-    }
-
-    /// Serialize the filled baseline-cache entries (sorted, canonical)
-    /// so a later process can warm-start via [`Self::import_baselines`].
-    pub fn export_baselines(&self, w: &mut jsmt_snapshot::Writer) {
-        self.baselines.export(w);
-    }
-
-    /// Pre-fill the baseline cache from [`Self::export_baselines`]
-    /// bytes. Imported entries do not count as lookups or misses.
-    pub fn import_baselines(
-        &self,
-        r: &mut jsmt_snapshot::Reader<'_>,
-    ) -> Result<(), jsmt_snapshot::SnapshotError> {
-        self.baselines.import(r)
     }
 
     /// Per-job timings accumulated so far (submission order per stage).
@@ -562,50 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn baseline_export_import_round_trips() {
+    fn remembered_baselines_serve_without_a_simulation() {
         let ctx = ExperimentCtx {
             scale: 0.01,
             repeats: 2,
             seed: 7,
         };
-        let donor = Engine::serial();
-        let a = donor.solo_baseline(BenchmarkId::Compress, &ctx);
-        let b = donor.solo_baseline(BenchmarkId::Db, &ctx);
-        let mut w = jsmt_snapshot::Writer::new();
-        donor.export_baselines(&mut w);
-        let bytes = w.into_bytes();
-
-        // A fresh engine warm-started from the bytes answers both keys
-        // without simulating (misses stay zero).
-        let heir = Engine::serial();
-        let mut r = jsmt_snapshot::Reader::new(&bytes);
-        heir.import_baselines(&mut r).expect("import");
-        r.expect_end().expect("no trailing bytes");
-        assert_eq!(heir.solo_baseline(BenchmarkId::Compress, &ctx), a);
-        assert_eq!(heir.solo_baseline(BenchmarkId::Db, &ctx), b);
-        let s = heir.baseline_stats();
-        assert_eq!((s.lookups, s.misses), (2, 0));
-
-        // Export is canonical: re-exporting the heir gives the same bytes.
-        let mut w2 = jsmt_snapshot::Writer::new();
-        heir.export_baselines(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-
-        // A contradictory import is rejected.
-        let liar = Engine::serial();
-        let real = liar.solo_baseline(BenchmarkId::Compress, &ctx);
-        let mut w3 = jsmt_snapshot::Writer::new();
-        w3.put_usize(1);
-        w3.put_u8(BenchmarkId::Compress.tag());
-        w3.put_u64(ctx.scale.to_bits());
-        w3.put_u64(ctx.seed);
-        w3.put_u64(ctx.repeats);
-        w3.put_bool(false);
-        w3.put_u64(real + 1);
-        let bad = w3.into_bytes();
-        assert!(liar
-            .import_baselines(&mut jsmt_snapshot::Reader::new(&bad))
-            .is_err());
+        let engine = Engine::serial();
+        engine.remember_baseline(BenchmarkId::Compress, &ctx, 1234);
+        assert_eq!(engine.baseline_stats(), BaselineCacheStats::default());
+        assert_eq!(engine.solo_baseline(BenchmarkId::Compress, &ctx), 1234);
+        assert_eq!(
+            engine.baseline_stats(),
+            BaselineCacheStats {
+                lookups: 1,
+                misses: 0
+            }
+        );
+        // A filled slot keeps its value.
+        engine.remember_baseline(BenchmarkId::Compress, &ctx, 99);
+        assert_eq!(engine.solo_baseline(BenchmarkId::Compress, &ctx), 1234);
     }
 
     #[test]

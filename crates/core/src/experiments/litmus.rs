@@ -6,9 +6,9 @@
 //! shape's *allowed-outcomes table*. A label outside the table is a
 //! concurrency-correctness failure of the simulator itself (a monitor
 //! that lost a wakeup, a tier that replayed stale state, a scheduler
-//! that double-bound a thread), so the supervised variant turns it into
-//! a panic and the PR 5 supervisor seals it into a replayable crash
-//! bundle.
+//! that double-bound a thread), so the sweep turns it into a panic and
+//! the supervisor every cell runs under records it as a failed cell,
+//! sealed into a replayable crash bundle when a bundle directory is set.
 //!
 //! Seeding: sweep point `i` perturbs the workload *scale* by `i` ULP-ish
 //! steps (the litmus kernels derive their RNG streams from the scale's
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use jsmt_workloads::{BenchmarkId, WorkloadSpec};
 
-use super::supervise::CellFailure;
+use super::supervise::{CellFailure, SupervisorCfg};
 use super::{Engine, ExperimentCtx};
 use crate::{System, SystemConfig};
 
@@ -181,26 +181,6 @@ pub fn litmus_cell(shape: BenchmarkId, seed: u64, ctx: &ExperimentCtx) -> Litmus
     }
 }
 
-/// Sweep one shape over `seeds` points, serially.
-pub fn litmus_sweep(shape: BenchmarkId, seeds: u64, ctx: &ExperimentCtx) -> LitmusSweep {
-    litmus_sweep_on(&Engine::serial(), shape, seeds, ctx)
-}
-
-/// Sweep one shape over `seeds` points on `engine`: one job per seed.
-pub fn litmus_sweep_on(
-    engine: &Engine,
-    shape: BenchmarkId,
-    seeds: u64,
-    ctx: &ExperimentCtx,
-) -> LitmusSweep {
-    let points = engine.run(
-        &format!("litmus-{}", shape.name()),
-        (0..seeds).collect(),
-        |&i| litmus_cell(shape, i, ctx),
-    );
-    collect_sweep(shape, points)
-}
-
 fn collect_sweep(shape: BenchmarkId, points: Vec<LitmusPoint>) -> LitmusSweep {
     let mut histogram = BTreeMap::new();
     let mut forbidden = Vec::new();
@@ -220,18 +200,10 @@ fn collect_sweep(shape: BenchmarkId, points: Vec<LitmusPoint>) -> LitmusSweep {
     }
 }
 
-/// Sweep every litmus shape over `seeds` points on `engine`.
-pub fn litmus_all_on(engine: &Engine, seeds: u64, ctx: &ExperimentCtx) -> Vec<LitmusSweep> {
-    BenchmarkId::LITMUS
-        .iter()
-        .map(|&shape| litmus_sweep_on(engine, shape, seeds, ctx))
-        .collect()
-}
-
-/// Result of a supervised litmus sweep: surviving points plus the
-/// failure records of cells whose outcome fell outside the allowed
-/// table (each carrying a crash bundle when the supervisor was
-/// configured with a bundle directory).
+/// Result of a litmus sweep: surviving points plus the failure records
+/// of cells whose outcome fell outside the allowed table (each carrying
+/// a crash bundle when the supervisor was configured with a bundle
+/// directory).
 #[derive(Debug)]
 pub struct SupervisedLitmus {
     /// Sweeps of the surviving cells, one per shape.
@@ -248,17 +220,19 @@ impl SupervisedLitmus {
     }
 }
 
-/// Sweep every litmus shape under the hardened supervisor: a cell whose
-/// label leaves the allowed table panics with the offending element, the
-/// supervisor attributes and (when configured) bundles it, and the sweep
-/// carries on. Cell labels are `<shape>@s<seed>` in stage
-/// `litmus-sweep`, which [`super::CrashBundle::replay`] maps back to
-/// [`litmus_cell`].
-pub fn litmus_supervised(
+/// Sweep every litmus shape over `seeds` points on `engine`, one
+/// supervised job per seed: a cell whose label leaves the allowed table
+/// panics with the offending element, the supervisor attributes and
+/// (when configured) bundles it, and the sweep carries on. Cell labels
+/// are `<shape>@s<seed>` in stage `litmus-sweep`, which
+/// [`super::CrashBundle::replay`] maps back to [`litmus_cell`]. The
+/// surviving points are bit-identical at any job count, exec-tier
+/// setting, and fast-forward setting.
+pub fn litmus_sweeps(
     engine: &Engine,
     seeds: u64,
     ctx: &ExperimentCtx,
-    cfg: &super::supervise::SupervisorCfg,
+    cfg: &SupervisorCfg,
 ) -> SupervisedLitmus {
     let mut sweeps = Vec::new();
     let mut failures = Vec::new();
@@ -280,7 +254,7 @@ pub fn litmus_supervised(
     SupervisedLitmus { sweeps, failures }
 }
 
-/// The supervised cell body: run, then enforce the allowed table.
+/// The sweep's cell body: run, then enforce the allowed table.
 /// Shared with bundle replay so a replayed forbidden outcome fails the
 /// same way at the same place.
 ///
@@ -353,7 +327,9 @@ mod tests {
     #[test]
     fn every_shape_sweeps_clean_within_the_allowed_table() {
         let ctx = quick();
-        for sweep in litmus_all_on(&Engine::serial(), 6, &ctx) {
+        let sl = litmus_sweeps(&Engine::serial(), 6, &ctx, &SupervisorCfg::default());
+        assert!(sl.failures.is_empty(), "{:?}", sl.failures);
+        for sweep in sl.sweeps {
             assert!(
                 sweep.is_clean(),
                 "{}: forbidden outcomes {:?}",
@@ -407,8 +383,8 @@ mod tests {
     #[test]
     fn render_includes_every_shape() {
         let ctx = quick();
-        let sweeps = litmus_all_on(&Engine::serial(), 2, &ctx);
-        let out = render_litmus(&sweeps);
+        let sl = litmus_sweeps(&Engine::serial(), 2, &ctx, &SupervisorCfg::default());
+        let out = render_litmus(&sl.sweeps);
         for shape in BenchmarkId::LITMUS {
             assert!(out.contains(shape.name()), "{shape} missing from render");
         }

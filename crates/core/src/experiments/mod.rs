@@ -7,9 +7,9 @@
 
 mod ablations;
 mod bundle;
-mod checkpoint;
 mod csv_out;
 mod engine;
+mod grid;
 mod litmus;
 mod mt;
 mod pairing;
@@ -26,27 +26,26 @@ pub use ablations::{
     PartitionPoint, PrefetchPoint,
 };
 pub use bundle::{CrashBundle, ReplayReport, KIND_BUNDLE};
-pub use checkpoint::{pair_matrix_ckpt, CkptError, GridCheckpoint, KIND_GRID};
 pub use csv_out::{
     csv_grid, csv_jit, csv_l1, csv_litmus, csv_mt, csv_partition, csv_prefetch, csv_single,
     csv_threads,
 };
 pub use engine::{BaselineCacheStats, Engine, JobTiming, Parallelism, StageTiming};
+pub use grid::{pair_grid, SupervisedGrid, Transport};
 pub use litmus::{
-    allowed_outcomes, check_label, forbidden_example, litmus_all_on, litmus_cell,
-    litmus_supervised, litmus_sweep, litmus_sweep_on, render_litmus, LitmusPoint, LitmusSweep,
-    SupervisedLitmus, LITMUS_CORRUPT_TARGET,
+    allowed_outcomes, check_label, forbidden_example, litmus_cell, litmus_sweeps, render_litmus,
+    LitmusPoint, LitmusSweep, SupervisedLitmus, LITMUS_CORRUPT_TARGET,
 };
 pub use mt::{
     characterize_mt, characterize_mt_on, gc_cycle_fraction, render_fig1, render_fig2,
     render_fig_mpki, render_table2, MpkiKind, MtPoint,
 };
 pub use pairing::{
-    pair_matrix, pair_matrix_on, pair_matrix_supervised, pairing_analysis, pairing_prediction,
-    render_fig8, render_fig9, render_pairing_analysis, render_pairing_prediction, run_pair,
-    tc_misses, PairGrid, PairOutcome, PairingAnalysis, PairingPrediction, SupervisedGrid,
+    pair_matrix, pair_matrix_on, pairing_analysis, pairing_prediction, render_fig8, render_fig9,
+    render_pairing_analysis, render_pairing_prediction, run_pair, tc_misses, PairGrid, PairOutcome,
+    PairingAnalysis, PairingPrediction,
 };
-pub use shard::{pair_matrix_sharded, shard_worker_main, ShardCfg};
+pub use shard::{shard_worker_main, ShardCfg};
 pub use single::{
     fig10_single_thread_impact, fig10_single_thread_impact_on, fig11_self_pairs,
     fig11_self_pairs_on, render_fig10, render_fig11, SinglePoint,

@@ -119,166 +119,26 @@ pub fn pair_matrix(ctx: &ExperimentCtx) -> PairGrid {
     pair_matrix_on(&Engine::serial(), ctx)
 }
 
-/// Run the full cross product on `engine`: one stage computing the nine
-/// solo baselines (each simulated exactly once via the engine's
-/// memoizing cache), then one stage of N² independent co-run cells,
-/// collected by cell index so the grid is bit-identical for every
-/// [`super::Parallelism`] setting.
-pub fn pair_matrix_on(engine: &Engine, ctx: &ExperimentCtx) -> PairGrid {
-    let benchmarks: Vec<BenchmarkId> = BenchmarkId::SINGLE_THREADED.to_vec();
-    engine.prewarm_baselines(&benchmarks, ctx);
-    let n = benchmarks.len();
-    let cells: Vec<(BenchmarkId, BenchmarkId)> = benchmarks
-        .iter()
-        .flat_map(|&a| benchmarks.iter().map(move |&b| (a, b)))
-        .collect();
-    let flat = engine.run("pair-grid", cells, |&(a, b)| {
-        engine.run_pair_cached(a, b, ctx)
-    });
-    let mut outcomes = Vec::with_capacity(n);
-    let mut it = flat.into_iter();
-    for _ in 0..n {
-        outcomes.push(it.by_ref().take(n).collect());
-    }
-    PairGrid {
-        benchmarks,
-        outcomes,
-    }
-}
-
-/// A pairing grid computed under supervision: healthy cells plus the
-/// failures that exhausted their attempts. Produced by
-/// [`pair_matrix_supervised`]; a grid with no failures converts back to
-/// a plain [`PairGrid`] via [`SupervisedGrid::into_grid`].
-#[derive(Debug)]
-pub struct SupervisedGrid {
-    /// Benchmarks in row/column order.
-    pub benchmarks: Vec<BenchmarkId>,
-    /// Finished cells by flat index `i * n + j`.
-    pub cells: std::collections::BTreeMap<usize, PairOutcome>,
-    /// Cells (or solo baselines) that exhausted their attempts.
-    pub failures: Vec<super::supervise::CellFailure>,
-}
-
-impl SupervisedGrid {
-    /// Whether every cell completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && self.cells.len() == self.benchmarks.len().pow(2)
-    }
-
-    /// The grid's CSV, with failed cells omitted. Healthy rows are
-    /// byte-identical to [`super::csv_grid`] over an unsupervised run,
-    /// so downstream plotting scripts need no changes for partial grids.
-    pub fn csv(&self) -> String {
-        let mut c = jsmt_report::Csv::new(vec![
-            "a".into(),
-            "b".into(),
-            "speedup_a".into(),
-            "speedup_b".into(),
-            "combined".into(),
-            "pair_tc_mpki".into(),
-        ]);
-        for o in self.cells.values() {
-            c.row(vec![
-                o.a.name().into(),
-                o.b.name().into(),
-                format!("{:.4}", o.speedup_a),
-                format!("{:.4}", o.speedup_b),
-                format!("{:.4}", o.combined),
-                format!("{:.3}", o.tc_mpki),
-            ]);
-        }
-        c.render()
-    }
-
-    /// The machine-readable failure manifest
-    /// ([`super::supervise::manifest_csv`]).
-    pub fn manifest_csv(&self) -> String {
-        super::supervise::manifest_csv(&self.failures)
-    }
-
-    /// Convert a complete grid into a plain [`PairGrid`].
-    ///
-    /// # Panics
-    ///
-    /// When the grid is incomplete — check [`SupervisedGrid::is_complete`]
-    /// first.
-    pub fn into_grid(self) -> PairGrid {
-        assert!(
-            self.is_complete(),
-            "cannot assemble a PairGrid from a partial supervised run \
-             ({} of {} cells, {} failures)",
-            self.cells.len(),
-            self.benchmarks.len().pow(2),
-            self.failures.len()
-        );
-        let n = self.benchmarks.len();
-        let mut it = self.cells.into_values();
-        let mut outcomes = Vec::with_capacity(n);
-        for _ in 0..n {
-            outcomes.push(it.by_ref().take(n).collect());
-        }
-        PairGrid {
-            benchmarks: self.benchmarks,
-            outcomes,
-        }
-    }
-}
-
-/// [`pair_matrix_on`] with graceful degradation: both the solo-baseline
-/// prewarm and the N² co-run cells execute under the supervisor, so a
-/// panicking, livelocked, or deadline-blown cell is recorded (and
-/// retried per `cfg`) instead of unwinding through the worker pool and
-/// losing the whole grid.
+/// Run the full cross product on `engine`'s threads through the grid
+/// executor ([`super::pair_grid`]): one stage computing the nine solo
+/// baselines (each simulated exactly once via the engine's memo), then
+/// one stage of N² co-run cells, collected by cell index so the grid is
+/// bit-identical for every [`super::Parallelism`] setting.
 ///
-/// A pair cell whose baseline failed during the prewarm recomputes that
-/// baseline inline through the engine's memoizing cache (a panicking
-/// cache init leaves the slot empty, so retrying is safe); it therefore
-/// still completes unless its own faults persist. On a healthy run the
-/// result is bit-identical to [`pair_matrix_on`]: supervision only
-/// observes the simulation, it never perturbs it.
-pub fn pair_matrix_supervised(
-    engine: &Engine,
-    ctx: &ExperimentCtx,
-    cfg: &super::supervise::SupervisorCfg,
-) -> SupervisedGrid {
-    let benchmarks: Vec<BenchmarkId> = BenchmarkId::SINGLE_THREADED.to_vec();
-    let mut failures = Vec::new();
-
-    let solo_jobs: Vec<(String, BenchmarkId)> = benchmarks
-        .iter()
-        .map(|&id| (id.name().to_string(), id))
-        .collect();
-    for r in engine.run_supervised("solo-baselines", cfg, ctx, solo_jobs, |&id| {
-        engine.solo_baseline(id, ctx)
-    }) {
-        if let Err(f) = r {
-            failures.push(f);
-        }
-    }
-
-    let pair_jobs: Vec<(String, (BenchmarkId, BenchmarkId))> = benchmarks
-        .iter()
-        .flat_map(|&a| benchmarks.iter().map(move |&b| (a, b)))
-        .map(|(a, b)| (format!("{}+{}", a.name(), b.name()), (a, b)))
-        .collect();
-    let outcomes = engine.run_supervised("pair-grid", cfg, ctx, pair_jobs, |&(a, b)| {
-        engine.run_pair_cached(a, b, ctx)
-    });
-    let mut cells = std::collections::BTreeMap::new();
-    for (index, r) in outcomes.into_iter().enumerate() {
-        match r {
-            Ok(o) => {
-                cells.insert(index, o);
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    SupervisedGrid {
-        benchmarks,
-        cells,
-        failures,
-    }
+/// # Panics
+///
+/// When a cell still fails after the default supervisor's retry; the
+/// message names the first failure. Callers that want partial grids use
+/// [`super::pair_grid`] directly.
+pub fn pair_matrix_on(engine: &Engine, ctx: &ExperimentCtx) -> PairGrid {
+    super::pair_grid(
+        engine,
+        super::Transport::Threads,
+        ctx,
+        &super::SupervisorCfg::default(),
+    )
+    .expect("the thread transport has no dispatch faults")
+    .into_grid()
 }
 
 /// Render Figure 8: the box-chart distribution of combined speedups per

@@ -1,6 +1,6 @@
-//! Glue between the experiment drivers and the persistent result cache
-//! (`jsmt-cache`): key construction, value encoding, and the cached
-//! compute wrappers.
+//! Glue between the grid executor and the persistent result cache
+//! (`jsmt-cache`): key construction and value encoding. The same value
+//! bytes travel over the shard protocol.
 //!
 //! A cache key must capture *everything* a cell's bytes depend on. For
 //! jsmt cells that is the experiment context (scale, repeats, seed) plus
@@ -9,13 +9,12 @@
 //! bumped whenever a change alters any cell's output — the golden-CSV
 //! tests are the tripwire that reminds an author to do so.
 
-use jsmt_cache::{Cache, CacheKey};
-use jsmt_snapshot::{Reader, Writer};
+use jsmt_cache::CacheKey;
+use jsmt_snapshot::{Reader, SnapshotError, Writer};
 use jsmt_workloads::BenchmarkId;
 
-use super::checkpoint::{read_outcome, write_outcome};
-use super::pairing::{run_pair, PairOutcome};
-use super::{solo_baseline_cycles, ExperimentCtx};
+use super::pairing::PairOutcome;
+use super::ExperimentCtx;
 
 /// Bump when a simulator or methodology change alters cell outputs, so
 /// stale caches miss instead of serving results from a different model.
@@ -58,6 +57,33 @@ pub(crate) fn decode_solo(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(bytes.try_into().ok()?))
 }
 
+fn write_outcome(w: &mut Writer, o: &PairOutcome) {
+    w.put_u8(o.a.tag());
+    w.put_u8(o.b.tag());
+    w.put_f64(o.speedup_a);
+    w.put_f64(o.speedup_b);
+    w.put_f64(o.combined);
+    w.put_f64(o.tc_mpki);
+    w.put_u64(o.completions.0);
+    w.put_u64(o.completions.1);
+}
+
+fn read_outcome(r: &mut Reader<'_>) -> Result<PairOutcome, SnapshotError> {
+    let a = BenchmarkId::from_tag(r.get_u8()?)
+        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in grid cell"))?;
+    let b = BenchmarkId::from_tag(r.get_u8()?)
+        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in grid cell"))?;
+    Ok(PairOutcome {
+        a,
+        b,
+        speedup_a: r.get_f64()?,
+        speedup_b: r.get_f64()?,
+        combined: r.get_f64()?,
+        tc_mpki: r.get_f64()?,
+        completions: (r.get_u64()?, r.get_u64()?),
+    })
+}
+
 pub(crate) fn encode_pair(o: &PairOutcome) -> Vec<u8> {
     let mut w = Writer::new();
     write_outcome(&mut w, o);
@@ -69,45 +95,6 @@ pub(crate) fn decode_pair(bytes: &[u8]) -> Option<PairOutcome> {
     let o = read_outcome(&mut r).ok()?;
     r.expect_end().ok()?;
     Some(o)
-}
-
-/// [`solo_baseline_cycles`] through the persistent cache. An entry that
-/// fails to decode (value-layout drift without an epoch bump) is
-/// recomputed and overwritten — same heal-by-recompute policy as a bad
-/// seal, one layer up.
-pub(crate) fn cached_solo_baseline(cache: &Cache, id: BenchmarkId, ctx: &ExperimentCtx) -> u64 {
-    let key = solo_key(id, ctx);
-    if let Some(bytes) = cache.lookup(&key) {
-        if let Some(cycles) = decode_solo(&bytes) {
-            return cycles;
-        }
-        eprintln!("# cache: undecodable value for {key}; recomputing");
-    }
-    let cycles = solo_baseline_cycles(id, ctx);
-    cache.store(&key, &encode_solo(cycles));
-    cycles
-}
-
-/// [`run_pair`] through the persistent cache; decode failures heal by
-/// recompute like [`cached_solo_baseline`].
-pub(crate) fn cached_run_pair(
-    cache: &Cache,
-    a: BenchmarkId,
-    b: BenchmarkId,
-    a_solo: u64,
-    b_solo: u64,
-    ctx: &ExperimentCtx,
-) -> PairOutcome {
-    let key = pair_key(a, b, ctx);
-    if let Some(bytes) = cache.lookup(&key) {
-        match decode_pair(&bytes) {
-            Some(o) if o.a == a && o.b == b => return o,
-            _ => eprintln!("# cache: undecodable value for {key}; recomputing"),
-        }
-    }
-    let o = run_pair(a, b, a_solo, b_solo, ctx);
-    cache.store(&key, &encode_pair(&o));
-    o
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! The supervised execution layer: panic isolation, watchdogs, and
 //! failure attribution for experiment grids.
 //!
-//! An unsupervised grid has all-or-nothing semantics: one panicking cell
-//! (a bad config, a workload edge case, a livelocked machine) unwinds
-//! through the worker pool and the whole 9×9 matrix is lost. Supervised
-//! execution ([`Engine::run_supervised`]) gives each cell its own blast
+//! Without supervision a grid has all-or-nothing semantics: one
+//! panicking cell (a bad config, a workload edge case, a livelocked
+//! machine) unwinds through the worker pool and the whole 9×9 matrix is
+//! lost. Every pairing-grid and litmus cell therefore runs supervised
+//! ([`Engine::run_supervised`]), which gives each cell its own blast
 //! radius:
 //!
 //! * every attempt runs under `catch_unwind`, so a cell failure becomes
@@ -31,9 +32,9 @@
 //! drivers like `run_pair` construct their machines internally, and each
 //! cell runs wholly on one worker thread, so `System::new` picks the
 //! context up without any driver plumbing. With no supervisor installed
-//! the thread-local is `None` and the system's behavior is unchanged —
-//! healthy grids stay bit-identical to the goldens whether supervised or
-//! not, because the watchdog checks only observe counters, never mutate
+//! (the other experiments) the thread-local is `None` and the checks are
+//! one branch per span. Healthy grids stay bit-identical to the goldens,
+//! because the watchdog checks only observe counters, never mutate
 //! machine state.
 
 use std::cell::RefCell;
@@ -47,7 +48,7 @@ use std::time::{Duration, Instant};
 use super::Engine;
 
 /// Supervision policy for one stage of cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorCfg {
     /// Re-runs granted after a failed attempt (so a cell executes at
     /// most `retries + 1` times).
@@ -540,14 +541,35 @@ impl Engine {
         O: Send,
         F: Fn(&I) -> O + Sync,
     {
-        silence_supervised_panics();
-        let monitor = Monitor::start(cfg.deadline);
-        let indexed: Vec<(usize, String, I)> = jobs
+        let indexed = jobs
             .into_iter()
             .enumerate()
             .map(|(i, (label, job))| (i, label, job))
             .collect();
-        self.run(stage, indexed, |(index, label, job)| {
+        self.run_supervised_at(stage, cfg, ctx, indexed, f)
+    }
+
+    /// [`Self::run_supervised`] over `(index, label, job)` triples: the
+    /// index a failure records is given, not the job's position. The
+    /// grid executor dispatches only the cells its cache lacks, and their
+    /// failures keep their grid index.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn run_supervised_at<I, O, F>(
+        &self,
+        stage: &str,
+        cfg: &SupervisorCfg,
+        ctx: &super::ExperimentCtx,
+        jobs: Vec<(usize, String, I)>,
+        f: F,
+    ) -> Vec<Result<O, CellFailure>>
+    where
+        I: Sync,
+        O: Send,
+        F: Fn(&I) -> O + Sync,
+    {
+        silence_supervised_panics();
+        let monitor = Monitor::start(cfg.deadline);
+        self.run(stage, jobs, |(index, label, job)| {
             supervise_one(stage, cfg, ctx, monitor.as_ref(), *index, label, job, &f)
         })
     }

@@ -1,7 +1,7 @@
 //! Durable, injectable file persistence.
 //!
-//! Everything the harness writes that must survive a crash — grid
-//! checkpoints, crash-repro bundles — goes through [`persist`]: write to
+//! Everything the harness writes that must survive a crash — result
+//! cache entries, crash-repro bundles — goes through [`persist`]: write to
 //! a sibling temp file, `fsync` it, atomically rename over the
 //! destination, then `fsync` the parent directory so the rename itself
 //! is durable. A kill at any point leaves either the old file or the new
@@ -20,12 +20,13 @@ use std::path::Path;
 
 /// Durably persist `bytes` at `path` (temp file, fsync, atomic rename,
 /// parent-directory fsync). `target` names the write for the fault
-/// plan (`checkpoint`, `bundle`, `cache`, …).
+/// plan (`bundle`, `cache`, …).
 ///
-/// The temp file name embeds the process id, so concurrent shard
-/// workers persisting the same path (e.g. a shared cache entry both
-/// just computed) cannot stomp each other's in-flight temp file; the
-/// final rename is atomic and last-writer-wins with identical bytes.
+/// The temp file name embeds the process id, so concurrent processes
+/// persisting the same path (e.g. two runs sharing a cache directory
+/// that both just computed an entry) cannot stomp each other's
+/// in-flight temp file; the final rename is atomic and last-writer-wins
+/// with identical bytes.
 ///
 /// # Errors
 ///

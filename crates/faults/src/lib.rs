@@ -21,9 +21,9 @@
 //! panic,component=gc,cycle=5000,scope=pair-grid/compress+db
 //! starve,cycle=2000,scope=pair-grid/jess+db,attempts=1
 //! worker-panic,scope=pair-grid/db+db
-//! worker-kill,scope=shard/compress+db,attempts=1
-//! io-error,target=checkpoint,nth=0
-//! corrupt,target=checkpoint,nth=1
+//! worker-kill,scope=pair-grid/compress+db,attempts=1
+//! io-error,target=cache,nth=0
+//! corrupt,target=bundle,nth=1
 //! torn,target=cache,nth=0
 //! cache-corrupt,nth=2
 //! cache-torn-write
@@ -36,7 +36,7 @@
 //!   so forward-progress watchdogs can be exercised.
 //! * `worker-panic` — the worker thread dies at job pickup, before the
 //!   simulation starts.
-//! * `worker-kill` — the worker **process** aborts at shard pickup
+//! * `worker-kill` — the worker **process** aborts at cell pickup
 //!   (models SIGKILL/OOM-kill of a shard worker). With `nth=N` only the
 //!   `N`th matching pickup dies; without it, every matching pickup does.
 //! * `io-error` — the `nth` durable write to the named target fails with
@@ -117,21 +117,21 @@ pub enum FaultKind {
     },
     /// Fail the `nth` durable write to `target` with an `io::Error`.
     IoError {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to fail.
         nth: u64,
     },
     /// Flip a byte in the `nth` durable write to `target`.
     Corrupt {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to corrupt.
         nth: u64,
     },
     /// Truncate the `nth` durable write to `target` mid-payload.
     Torn {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to tear.
         nth: u64,

@@ -2,7 +2,8 @@
 //! real `repro` binary: entries are corrupted and truncated on disk
 //! (and via injected write faults), and the cache must quarantine,
 //! recompute, and keep the rendered output byte-identical — never trust
-//! a bad entry, never die over one.
+//! a bad entry, never die over one. The cache is also the grid's only
+//! persistence: a partial run resumes from it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -184,13 +185,14 @@ fn warm_cache_rerun_simulates_nothing_under_shard_dispatch() {
         ],
     );
     assert!(cold.status.success(), "{}", stderr_of(&cold));
+    assert!(
+        stderr_of(&cold).contains("misses=90 stores=90"),
+        "the parent stores every cell the workers computed: {}",
+        stderr_of(&cold)
+    );
 
     let cells = cell_files(&dir);
-    assert_eq!(
-        cells.len(),
-        90,
-        "workers wrote every cell through the cache"
-    );
+    assert_eq!(cells.len(), 90, "every cell reached the cache");
     let victim = &cells[3];
     let mut bytes = std::fs::read(victim).unwrap();
     let mid = bytes.len() / 2;
@@ -223,6 +225,60 @@ fn warm_cache_rerun_simulates_nothing_under_shard_dispatch() {
     assert_eq!(
         String::from_utf8_lossy(&cold.stdout),
         String::from_utf8_lossy(&warm.stdout)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache replaces grid checkpoints: a run whose cells fail (here two
+/// persistent injected panics) exits 3 with the surviving rows, every
+/// finished cell already stored; the same command rerun without the
+/// faults computes only the two missing cells and renders the clean
+/// run's bytes.
+#[test]
+fn partial_grid_resumes_from_the_cache() {
+    let dir = tmpdir("resume");
+    let missing = ["compress+db", "jess+jack"];
+    let faults = missing
+        .iter()
+        .map(|l| format!("panic,component=system,cycle=2000,scope=pair-grid/{l}"))
+        .collect::<Vec<_>>()
+        .join(";");
+    let partial = run(&dir, &["--retries", "0", "--faults", &faults]);
+    assert_eq!(partial.status.code(), Some(3), "{}", stderr_of(&partial));
+    assert!(
+        stderr_of(&partial).contains("misses=90 stores=88"),
+        "every finished cell is stored: {}",
+        stderr_of(&partial)
+    );
+
+    let clean = repro()
+        .args(CTX)
+        .args(["--csv", "fig8"])
+        .env_remove("JSMT_FAULTS")
+        .env_remove("JSMT_CACHE")
+        .output()
+        .expect("spawn repro");
+    assert!(clean.status.success());
+    let clean = String::from_utf8_lossy(&clean.stdout).into_owned();
+    let expected: String = clean
+        .lines()
+        .filter(|l| !l.starts_with("compress,db,") && !l.starts_with("jess,jack,"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        String::from_utf8_lossy(&partial.stdout),
+        expected,
+        "the partial CSV is the clean one minus the failed rows"
+    );
+
+    let resumed = run(&dir, &["--retries", "0"]);
+    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
+    assert_eq!(String::from_utf8_lossy(&resumed.stdout), clean);
+    assert!(
+        stderr_of(&resumed).contains("hits=88 misses=2"),
+        "only the failed cells are recomputed: {}",
+        stderr_of(&resumed)
     );
 
     let _ = std::fs::remove_dir_all(&dir);

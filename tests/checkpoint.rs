@@ -6,7 +6,6 @@
 //! bytes — including checkpoints taken mid-GC, mid-fast-forward span,
 //! and exactly on sampler/timer boundaries.
 
-use jsmt_core::experiments::{self as exp, Engine, ExperimentCtx, Parallelism};
 use jsmt_core::{System, SystemConfig};
 use jsmt_perfmon::Event;
 use jsmt_workloads::{BenchmarkId, WorkloadSpec};
@@ -320,60 +319,4 @@ fn corrupt_and_mismatched_snapshots_fail_cleanly() {
             "corruption at byte {i} must error"
         );
     }
-}
-
-/// The checkpointed pairing grid: interrupt the run repeatedly (via the
-/// cell budget, simulating a kill between flushes), restart with a
-/// *fresh engine* each time (a fresh process), and the assembled grid's
-/// CSV must be byte-identical to an uninterrupted run. The persisted
-/// baseline cache must spare every later process from re-simulating
-/// baselines.
-#[test]
-fn interrupted_grid_resumes_to_identical_csv() {
-    // The tiny-grid configuration used by the engine determinism tests.
-    let ctx = ExperimentCtx {
-        scale: 0.01,
-        repeats: 1,
-        seed: 0xA5,
-    };
-    let golden = exp::csv_grid(&exp::pair_matrix_on(
-        &Engine::new(Parallelism::Threads(4)),
-        &ctx,
-    ));
-
-    let path = std::env::temp_dir().join(format!("jsmt-grid-ckpt-{}.snap", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    let mut restarts = 0;
-    let grid = loop {
-        restarts += 1;
-        assert!(restarts < 40, "grid never completed");
-        let engine = Engine::new(Parallelism::Threads(2));
-        match exp::pair_matrix_ckpt(&engine, &ctx, &path, 3, Some(7)).expect("checkpointed grid") {
-            Some(grid) => {
-                if restarts > 1 {
-                    // Baselines came from the checkpoint, not re-simulation.
-                    assert_eq!(engine.baseline_stats().misses, 0, "baselines not reused");
-                }
-                break grid;
-            }
-            None => continue,
-        }
-    };
-    assert!(restarts > 1, "budget of 7 must interrupt an 81-cell grid");
-    assert_eq!(exp::csv_grid(&grid), golden, "resumed grid CSV differs");
-
-    // Resuming a *complete* checkpoint recomputes nothing.
-    let engine = Engine::serial();
-    let again = exp::pair_matrix_ckpt(&engine, &ctx, &path, 3, Some(0))
-        .expect("reload")
-        .expect("grid is complete");
-    assert_eq!(exp::csv_grid(&again), golden);
-    assert_eq!(engine.baseline_stats().misses, 0);
-
-    // A checkpoint from different experiment parameters is rejected.
-    let other = ExperimentCtx { seed: 0xA6, ..ctx };
-    assert!(exp::pair_matrix_ckpt(&Engine::serial(), &other, &path, 3, None).is_err());
-
-    let _ = std::fs::remove_file(&path);
 }

@@ -1,5 +1,6 @@
-//! The hardened supervisor's contract, exercised end to end with the
-//! deterministic fault-injection harness (`jsmt-faults`):
+//! The supervisor's contract on the grid executor's thread transport,
+//! exercised end to end with the deterministic fault-injection harness
+//! (`jsmt-faults`):
 //!
 //! * a failing cell — injected panic, dead worker, livelock, blown
 //!   deadline — is isolated: the grid completes, the failure manifest
@@ -8,16 +9,14 @@
 //! * a transient fault plus a supervisor retry converges to the clean
 //!   (golden) output;
 //! * every failure leaves a crash-repro bundle that `CrashBundle::replay`
-//!   reproduces deterministically;
-//! * injected durable-write faults (I/O error, corruption) surface as
-//!   typed `JsmtError`s from the checkpoint path, never as panics.
+//!   reproduces deterministically.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use jsmt_core::experiments::{
-    self as exp, Engine, ExperimentCtx, FailureKind, Parallelism, SupervisorCfg,
+    self as exp, Engine, ExperimentCtx, FailureKind, Parallelism, SupervisedGrid, SupervisorCfg,
+    Transport,
 };
-use jsmt_core::{ErrorKind, JsmtError};
 use jsmt_workloads::BenchmarkId;
 use proptest::prelude::*;
 
@@ -43,6 +42,17 @@ fn tiny() -> ExperimentCtx {
 fn clean_csv() -> &'static str {
     static CLEAN: OnceLock<String> = OnceLock::new();
     CLEAN.get_or_init(|| exp::csv_grid(&exp::pair_matrix_on(&Engine::serial(), &tiny())))
+}
+
+/// The grid on four engine threads under `cfg`.
+fn grid(cfg: &SupervisorCfg) -> SupervisedGrid {
+    exp::pair_grid(
+        &Engine::new(Parallelism::Threads(4)),
+        Transport::Threads,
+        &tiny(),
+        cfg,
+    )
+    .expect("the thread transport has no dispatch faults")
 }
 
 fn grid_labels() -> Vec<String> {
@@ -89,17 +99,14 @@ fn assert_rows_are_clean_subset(partial: &str, full: &str, missing: &[&str]) {
     }
 }
 
-/// With no fault plan armed, the supervised grid is byte-identical to
-/// the unsupervised one: supervision only observes the simulation.
+/// With no fault plan armed, the grid on four threads is complete, its
+/// manifest is empty, and its partial-grid CSV equals the serial
+/// reference: supervision only observes the simulation.
 #[test]
 fn clean_supervised_grid_is_bit_identical_to_unsupervised() {
     let _l = plan_lock();
     jsmt_faults::clear();
-    let sg = exp::pair_matrix_supervised(
-        &Engine::new(Parallelism::Threads(4)),
-        &tiny(),
-        &SupervisorCfg::default(),
-    );
+    let sg = grid(&SupervisorCfg::default());
     assert!(sg.is_complete());
     assert_eq!(sg.manifest_csv().lines().count(), 1, "header only");
     assert_eq!(sg.csv(), clean_csv());
@@ -126,7 +133,7 @@ proptest! {
             retries: 0,
             ..SupervisorCfg::default()
         };
-        let sg = exp::pair_matrix_supervised(&Engine::new(Parallelism::Threads(4)), &tiny(), &cfg);
+        let sg = grid(&cfg);
         jsmt_faults::clear();
 
         prop_assert!(!sg.is_complete());
@@ -158,11 +165,7 @@ fn transient_fault_with_retry_converges_to_clean_output() {
         "panic,component=system,cycle=2000,scope=pair-grid/jess+db,attempts=1",
     )
     .expect("valid spec");
-    let sg = exp::pair_matrix_supervised(
-        &Engine::new(Parallelism::Threads(4)),
-        &tiny(),
-        &SupervisorCfg::default(), // retries: 1
-    );
+    let sg = grid(&SupervisorCfg::default()); // retries: 1
     jsmt_faults::clear();
     assert!(sg.is_complete(), "retry must clear the transient fault");
     assert_eq!(sg.csv(), clean_csv());
@@ -185,7 +188,7 @@ fn grid_survives_worker_death_and_livelock_with_exact_attribution() {
         livelock_cycles: 500_000,
         ..SupervisorCfg::default()
     };
-    let sg = exp::pair_matrix_supervised(&Engine::new(Parallelism::Threads(4)), &tiny(), &cfg);
+    let sg = grid(&cfg);
     jsmt_faults::clear();
 
     assert_eq!(sg.cells.len(), 79);
@@ -249,7 +252,7 @@ fn crash_bundle_replay_reproduces_the_recorded_failure() {
     let dir = std::env::temp_dir().join(format!("jsmt-bundles-{}", std::process::id()));
     let ctx = tiny();
     let engine = Engine::serial();
-    // Mirror `pair_matrix_supervised`'s scoping: baselines are computed
+    // Mirror the grid executor's scoping: baselines are computed
     // (and memoized) before the fault plan arms, exactly as
     // `CrashBundle::replay` does on the other side.
     let base_a = engine.solo_baseline(BenchmarkId::Compress, &ctx);
@@ -290,43 +293,6 @@ fn crash_bundle_replay_reproduces_the_recorded_failure() {
     assert_eq!(observed.component, "system");
     assert_eq!(observed.cycle, failure.cycle, "replay cycle diverged");
     assert!(report.reproduced);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Injected durable-write faults surface as typed errors from the
-/// checkpointed grid driver: an I/O error fails the run with
-/// `ErrorKind::Io`, and a corrupted write is detected at resume as
-/// `ErrorKind::Snapshot` — never a panic, never silent acceptance.
-#[test]
-fn checkpoint_write_faults_surface_as_typed_errors() {
-    let _l = plan_lock();
-    let ctx = tiny();
-    let engine = Engine::serial();
-    let dir = std::env::temp_dir().join(format!("jsmt-ckpt-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    // First durable checkpoint write fails with an injected io::Error.
-    let p1 = dir.join("io.ck");
-    jsmt_faults::install_spec("io-error,target=checkpoint,nth=0").expect("valid spec");
-    let err = exp::pair_matrix_ckpt(&engine, &ctx, &p1, 1, Some(1))
-        .map(|_| ())
-        .expect_err("injected write error must propagate");
-    jsmt_faults::clear();
-    assert_eq!(JsmtError::from(err).kind(), ErrorKind::Io);
-
-    // The final flush is silently corrupted (write #0 is the baseline
-    // save, write #1 the one-cell flush); the resume must detect it.
-    let p2 = dir.join("corrupt.ck");
-    jsmt_faults::install_spec("corrupt,target=checkpoint,nth=1").expect("valid spec");
-    let partial = exp::pair_matrix_ckpt(&engine, &ctx, &p2, 1, Some(1))
-        .expect("corruption is invisible at write time");
-    assert!(partial.is_none(), "budgeted run must stop early");
-    jsmt_faults::clear();
-    let err = exp::pair_matrix_ckpt(&engine, &ctx, &p2, 1, Some(1))
-        .map(|_| ())
-        .expect_err("corrupt checkpoint must be rejected at load");
-    assert_eq!(JsmtError::from(err).kind(), ErrorKind::Snapshot);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -120,16 +120,9 @@ fn golden_jit_csv() {
 #[test]
 fn golden_litmus_csv() {
     let ctx = ExperimentCtx::quick();
-    let sweeps = exp::litmus_all_on(&engine(), 6, &ctx);
-    for s in &sweeps {
-        assert!(
-            s.is_clean(),
-            "{}: forbidden outcomes {:?}",
-            s.shape.name(),
-            s.forbidden
-        );
-    }
-    check("litmus.csv", &exp::csv_litmus(&sweeps));
+    let sl = exp::litmus_sweeps(&engine(), 6, &ctx, &exp::SupervisorCfg::default());
+    assert!(sl.is_clean(), "forbidden outcomes: {:?}", sl.failures);
+    check("litmus.csv", &exp::csv_litmus(&sl.sweeps));
 }
 
 /// Pin the *busy* path itself, not just the quiet workloads the

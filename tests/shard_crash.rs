@@ -1,7 +1,8 @@
-//! Crash-tolerance of the multi-process shard dispatcher, driven
+//! Crash-tolerance of the grid executor's process transport, driven
 //! through the real `repro` binary: workers are genuinely killed
-//! (SIGABRT via the `worker-kill` fault), and the dispatcher must
-//! reassign, degrade, and stay bit-identical to serial execution.
+//! (SIGABRT via the `worker-kill` fault), and the pool must reassign,
+//! degrade, and stay bit-identical to serial execution. A failed solo
+//! baseline must cancel the same co-runs on either transport.
 //!
 //! These tests live in `jsmt-bench` because `CARGO_BIN_EXE_repro` only
 //! resolves in the crate that defines the binary.
@@ -182,6 +183,70 @@ fn per_shard_deadline_kills_and_attributes_hung_workers() {
     assert!(
         row.starts_with("pair-grid,compress+db,") && row.contains(",deadline,worker,"),
         "deadline attribution: {row}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A persistent fault in one solo baseline fails that cell and cancels
+/// the 17 co-runs over it without dispatching them, identically on the
+/// thread and the process transport: the same manifest, and the clean
+/// CSV minus exactly those 17 rows.
+#[test]
+fn failed_baseline_cancels_its_pairs_on_both_transports() {
+    let dir = tmpdir("baseline");
+    let serial = run(&[]);
+    assert!(serial.status.success());
+    let expected: String = String::from_utf8_lossy(&serial.stdout)
+        .lines()
+        .filter(|l| !l.split(',').take(2).any(|name| name == "jess"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+
+    let mut manifests = Vec::new();
+    for transport in [["--jobs", "2"], ["--workers", "2"]] {
+        let manifest = dir.join(format!("{}.csv", transport[0].trim_start_matches('-')));
+        let out = run(&[
+            transport[0],
+            transport[1],
+            "--retries",
+            "0",
+            "--manifest",
+            manifest.to_str().unwrap(),
+            "--faults",
+            "panic,component=system,cycle=2000,scope=solo-baselines/jess",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{transport:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "{transport:?}: the CSV is the clean one minus the jess rows"
+        );
+        let manifest = std::fs::read_to_string(&manifest).expect("manifest written");
+        let rows: Vec<&str> = manifest.lines().skip(1).collect();
+        assert_eq!(rows.len(), 1 + 17, "{transport:?}:\n{manifest}");
+        assert!(
+            rows[0].starts_with("solo-baselines,jess,1,panic,system,"),
+            "{transport:?}: {}",
+            rows[0]
+        );
+        for row in &rows[1..] {
+            assert!(
+                row.starts_with("pair-grid,") && row.contains(",cancelled,dependency,"),
+                "{transport:?}: {row}"
+            );
+            assert!(row.contains("jess"), "{transport:?}: {row}");
+        }
+        manifests.push(manifest);
+    }
+    assert_eq!(
+        manifests[0], manifests[1],
+        "both transports record the same failures"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

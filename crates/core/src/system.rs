@@ -677,7 +677,7 @@ impl System {
     /// (Timed scheduler events and the sampler are handled by capping the
     /// replay span, exactly like fast-forward.)
     fn trace_replay_sound(&self) -> bool {
-        jsmt_faults::active_spec().is_none()
+        !jsmt_faults::armed()
             && self
                 .world
                 .procs

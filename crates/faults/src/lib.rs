@@ -61,7 +61,11 @@
 //! Every hook starts with one relaxed atomic load; with no plan
 //! installed the branch is never taken and healthy runs stay
 //! bit-identical (enforced by `tests/fault_isolation.rs` in the
-//! workspace root).
+//! workspace root). With a plan armed, the per-span hooks
+//! ([`check_cycle`], [`starved`]) read a per-thread view of the clauses
+//! that apply in the thread's current scope, rebuilt only when the plan
+//! or the scope changes, so cells outside a plan's scope run at full
+//! speed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -297,11 +301,32 @@ struct PlanState {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<Arc<PlanState>>> = Mutex::new(None);
+/// Bumped (under the `PLAN` lock) by every install and clear, so a
+/// thread's [`Resolved`] view knows when the plan under it changed.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+/// The `panic` and `starve` clauses of the installed plan that apply on
+/// one thread in its current scope. The per-span hooks read this view
+/// instead of locking the plan and matching scope labels on every
+/// simulated span; it is rebuilt when the plan changes or the thread
+/// enters or leaves a scope.
+#[derive(Default)]
+struct Resolved {
+    /// The plan generation this view was built against; `None` once the
+    /// thread's scope has changed since.
+    generation: Option<u64>,
+    /// `(component, cycle)` of every applicable `panic` clause.
+    panics: Vec<(String, u64)>,
+    /// The earliest trigger cycle of the applicable `starve` clauses.
+    starve_from: Option<u64>,
+}
 
 thread_local! {
     /// The supervised cell this thread is currently executing
     /// (label, attempt number).
     static SCOPE: RefCell<Option<(String, u32)>> = const { RefCell::new(None) };
+    /// This thread's view of the plan (see [`Resolved`]).
+    static RESOLVED: RefCell<Resolved> = RefCell::new(Resolved::default());
 }
 
 /// Install `plan` process-wide, replacing any previous plan.
@@ -311,7 +336,11 @@ pub fn install(plan: FaultPlan) {
         plan,
         write_counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
-    *PLAN.lock().expect("fault plan lock") = Some(Arc::new(state));
+    {
+        let mut slot = PLAN.lock().expect("fault plan lock");
+        *slot = Some(Arc::new(state));
+        GENERATION.fetch_add(1, Ordering::SeqCst);
+    }
     ARMED.store(true, Ordering::SeqCst);
 }
 
@@ -329,7 +358,14 @@ pub fn install_spec(spec: &str) -> Result<(), String> {
 /// path.
 pub fn clear() {
     ARMED.store(false, Ordering::SeqCst);
-    *PLAN.lock().expect("fault plan lock") = None;
+    let mut slot = PLAN.lock().expect("fault plan lock");
+    *slot = None;
+    GENERATION.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Whether a plan is installed: one relaxed atomic load.
+pub fn armed() -> bool {
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// The spec string of the installed plan, if any (recorded into crash
@@ -353,6 +389,7 @@ fn state() -> Option<Arc<PlanState>> {
 /// drops, so nested supervision composes.
 pub fn enter_scope(label: &str, attempt: u32) -> ScopeGuard {
     let prev = SCOPE.with(|s| s.replace(Some((label.to_string(), attempt))));
+    invalidate_resolved();
     ScopeGuard { prev }
 }
 
@@ -365,7 +402,47 @@ impl Drop for ScopeGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
         SCOPE.with(|s| *s.borrow_mut() = prev);
+        invalidate_resolved();
     }
+}
+
+/// The thread's scope changed: its [`Resolved`] view no longer holds.
+fn invalidate_resolved() {
+    RESOLVED.with(|r| r.borrow_mut().generation = None);
+}
+
+/// Run `f` over this thread's [`Resolved`] view of the plan, rebuilding
+/// the view first if the plan or the thread's scope changed since it was
+/// built.
+fn with_resolved<R>(f: impl FnOnce(&Resolved) -> R) -> R {
+    RESOLVED.with(|r| {
+        let generation = GENERATION.load(Ordering::SeqCst);
+        if r.borrow().generation != Some(generation) {
+            let mut view = Resolved {
+                generation: Some(generation),
+                ..Resolved::default()
+            };
+            // A plan installed after the generation was read is at worst
+            // resolved early; the next call sees the newer generation and
+            // rebuilds.
+            for fault in state().iter().flat_map(|s| &s.plan.faults) {
+                if !applies(fault) {
+                    continue;
+                }
+                match &fault.kind {
+                    FaultKind::Panic { component, cycle } => {
+                        view.panics.push((component.clone(), *cycle));
+                    }
+                    FaultKind::Starve { cycle } => {
+                        view.starve_from = Some(view.starve_from.map_or(*cycle, |c| c.min(*cycle)));
+                    }
+                    _ => {}
+                }
+            }
+            *r.borrow_mut() = view;
+        }
+        f(&r.borrow())
+    })
 }
 
 /// The scope label and attempt active on this thread (empty label when
@@ -401,22 +478,14 @@ pub fn check_cycle(component: &str, cycle: u64) {
     if !ARMED.load(Ordering::Relaxed) {
         return;
     }
-    let Some(state) = state() else { return };
-    for fault in &state.plan.faults {
-        if let FaultKind::Panic {
-            component: c,
-            cycle: n,
-        } = &fault.kind
-        {
-            if c == component && cycle >= *n && applies(fault) {
-                let (scope, _) = current_scope();
-                std::panic::panic_any(InjectedPanic {
-                    component: component.to_string(),
-                    cycle,
-                    scope,
-                });
-            }
-        }
+    let fires = with_resolved(|r| r.panics.iter().any(|(c, n)| c == component && cycle >= *n));
+    if fires {
+        let (scope, _) = current_scope();
+        std::panic::panic_any(InjectedPanic {
+            component: component.to_string(),
+            cycle,
+            scope,
+        });
     }
 }
 
@@ -425,10 +494,7 @@ pub fn starved(cycle: u64) -> bool {
     if !ARMED.load(Ordering::Relaxed) {
         return false;
     }
-    let Some(state) = state() else { return false };
-    state.plan.faults.iter().any(|fault| {
-        matches!(&fault.kind, FaultKind::Starve { cycle: n } if cycle >= *n) && applies(fault)
-    })
+    with_resolved(|r| r.starve_from.is_some_and(|n| cycle >= n))
 }
 
 /// Fault check at worker job pickup. Panics with an [`InjectedPanic`]
@@ -711,6 +777,38 @@ mod tests {
         }
         clear();
         assert!(!starved(100));
+    }
+
+    /// The per-thread view of the plan follows a plan replaced or
+    /// cleared while the thread stays in one scope, and a nested scope
+    /// and its exit.
+    #[test]
+    fn hooks_follow_plan_and_scope_changes() {
+        let _l = LOCK.lock().unwrap();
+        let fires = |cycle| std::panic::catch_unwind(|| check_cycle("gc", cycle)).is_err();
+        let _outer = enter_scope("a", 0);
+        install_spec("panic,component=gc,cycle=10,scope=b").unwrap();
+        assert!(!fires(20), "clause scoped to another cell");
+        install_spec("panic,component=gc,cycle=10,scope=a; starve,cycle=5").unwrap();
+        assert!(fires(20), "replacement plan applies at once");
+        assert!(starved(5));
+        {
+            let _inner = enter_scope("b", 0);
+            assert!(!fires(20), "nested scope resolves its own clauses");
+            assert!(starved(5), "unscoped clause applies everywhere");
+        }
+        assert!(
+            fires(20),
+            "leaving the nested scope restores the outer view"
+        );
+        clear();
+        assert!(!fires(20) && !starved(5));
+        install_spec("starve,cycle=7,scope=a; starve,cycle=3,scope=a").unwrap();
+        assert!(
+            !starved(2) && starved(3),
+            "earliest applicable trigger wins"
+        );
+        clear();
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -25,6 +26,24 @@ fn run(cache: &Path, extra: &[&str]) -> Output {
         .env_remove("JSMT_CACHE")
         .output()
         .expect("spawn repro")
+}
+
+/// Stdout of a clean run with no cache: the reference output. It
+/// depends only on [`CTX`], so it is simulated once and shared by the
+/// tests.
+fn clean_stdout() -> &'static str {
+    static CLEAN: OnceLock<String> = OnceLock::new();
+    CLEAN.get_or_init(|| {
+        let clean = repro()
+            .args(CTX)
+            .args(["--csv", "fig8"])
+            .env_remove("JSMT_FAULTS")
+            .env_remove("JSMT_CACHE")
+            .output()
+            .expect("spawn repro");
+        assert!(clean.status.success(), "clean run failed");
+        String::from_utf8_lossy(&clean.stdout).into_owned()
+    })
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -130,16 +149,8 @@ fn injected_cache_write_faults_never_poison_results() {
     assert!(cold.status.success(), "{}", stderr_of(&cold));
 
     // Reference output from a clean, uncached run.
-    let clean = repro()
-        .args(CTX)
-        .args(["--csv", "fig8"])
-        .env_remove("JSMT_FAULTS")
-        .env_remove("JSMT_CACHE")
-        .output()
-        .expect("spawn repro");
-    assert!(clean.status.success());
     assert_eq!(
-        String::from_utf8_lossy(&clean.stdout),
+        clean_stdout(),
         String::from_utf8_lossy(&cold.stdout),
         "fault-injected cache writes must not change the rendered output"
     );
@@ -157,10 +168,7 @@ fn injected_cache_write_faults_never_poison_results() {
         err.contains("store_errors=0"),
         "healing stores succeed once the fault plan is gone: {err}"
     );
-    assert_eq!(
-        String::from_utf8_lossy(&clean.stdout),
-        String::from_utf8_lossy(&healed.stdout)
-    );
+    assert_eq!(clean_stdout(), String::from_utf8_lossy(&healed.stdout));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -252,15 +260,7 @@ fn partial_grid_resumes_from_the_cache() {
         stderr_of(&partial)
     );
 
-    let clean = repro()
-        .args(CTX)
-        .args(["--csv", "fig8"])
-        .env_remove("JSMT_FAULTS")
-        .env_remove("JSMT_CACHE")
-        .output()
-        .expect("spawn repro");
-    assert!(clean.status.success());
-    let clean = String::from_utf8_lossy(&clean.stdout).into_owned();
+    let clean = clean_stdout();
     let expected: String = clean
         .lines()
         .filter(|l| !l.starts_with("compress,db,") && !l.starts_with("jess,jack,"))

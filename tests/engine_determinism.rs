@@ -29,8 +29,13 @@ fn engines() -> (Engine, Engine) {
 fn pair_matrix_quick_threads4_matches_serial_bit_for_bit() {
     let ctx = ExperimentCtx::quick();
     let (ser, par) = engines();
-    let g_ser = exp::pair_matrix_on(&ser, &ctx);
-    let g_par = exp::pair_matrix_on(&par, &ctx);
+    // The two engines share nothing, so their grids run side by side:
+    // the serial one would otherwise hold a single core for its whole run.
+    let (g_ser, g_par) = std::thread::scope(|s| {
+        let serial = s.spawn(|| exp::pair_matrix_on(&ser, &ctx));
+        let g_par = exp::pair_matrix_on(&par, &ctx);
+        (serial.join().expect("serial grid"), g_par)
+    });
 
     assert_eq!(g_ser.benchmarks, g_par.benchmarks);
     for (row_s, row_p) in g_ser.outcomes.iter().zip(&g_par.outcomes) {

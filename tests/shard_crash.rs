@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -30,6 +31,18 @@ fn run(extra: &[&str]) -> Output {
         .expect("spawn repro")
 }
 
+/// Stdout of the clean in-process run that every run in this file is
+/// compared against. It depends only on [`CTX`], so it is simulated
+/// once and shared by the tests.
+fn serial_stdout() -> &'static str {
+    static SERIAL: OnceLock<String> = OnceLock::new();
+    SERIAL.get_or_init(|| {
+        let serial = run(&[]);
+        assert!(serial.status.success(), "serial run failed");
+        String::from_utf8_lossy(&serial.stdout).into_owned()
+    })
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jsmt-shard-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -39,12 +52,10 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 #[test]
 fn sharded_grid_is_bit_identical_to_serial() {
-    let serial = run(&[]);
-    assert!(serial.status.success(), "serial run failed");
     let sharded = run(&["--workers", "3"]);
     assert!(sharded.status.success(), "sharded run failed");
     assert_eq!(
-        String::from_utf8_lossy(&serial.stdout),
+        serial_stdout(),
         String::from_utf8_lossy(&sharded.stdout),
         "sharded output must be byte-identical to serial"
     );
@@ -54,8 +65,6 @@ fn sharded_grid_is_bit_identical_to_serial() {
 fn killed_worker_is_detected_and_shard_reassigned() {
     let dir = tmpdir("kill");
     let manifest = dir.join("manifest.csv");
-    let serial = run(&[]);
-    assert!(serial.status.success());
 
     // attempts=1 → the kill fires on the first attempt only; the
     // respawned worker's retry completes the cell.
@@ -79,7 +88,7 @@ fn killed_worker_is_detected_and_shard_reassigned() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(
-        String::from_utf8_lossy(&serial.stdout),
+        serial_stdout(),
         String::from_utf8_lossy(&out.stdout),
         "output after a healed worker kill must be byte-identical to serial"
     );
@@ -195,9 +204,7 @@ fn per_shard_deadline_kills_and_attributes_hung_workers() {
 #[test]
 fn failed_baseline_cancels_its_pairs_on_both_transports() {
     let dir = tmpdir("baseline");
-    let serial = run(&[]);
-    assert!(serial.status.success());
-    let expected: String = String::from_utf8_lossy(&serial.stdout)
+    let expected: String = serial_stdout()
         .lines()
         .filter(|l| !l.split(',').take(2).any(|name| name == "jess"))
         .map(|l| format!("{l}\n"))

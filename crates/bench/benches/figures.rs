@@ -4,8 +4,8 @@
 //! experiment driver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use jsmt_bench::run_experiment;
-use jsmt_core::experiments::ExperimentCtx;
+use jsmt_bench::run_experiment_on;
+use jsmt_core::experiments::{Engine, ExperimentCtx};
 
 /// Tiny inputs: these benches track harness cost, not paper numbers.
 fn ctx() -> ExperimentCtx {
@@ -36,7 +36,9 @@ fn bench_tables_and_figures(c: &mut Criterion) {
         "ablation-partition",
         "ablation-l1",
     ] {
-        g.bench_function(name, |b| b.iter(|| run_experiment(name, &ctx()).len()));
+        g.bench_function(name, |b| {
+            b.iter(|| run_experiment_on(&Engine::serial(), name, &ctx(), false).len())
+        });
     }
     g.finish();
 }

@@ -471,17 +471,6 @@ pub fn usage() -> String {
     )
 }
 
-/// Run one experiment serially and return its rendered output.
-pub fn run_experiment(name: &str, ctx: &ExperimentCtx) -> String {
-    run_experiment_fmt(name, ctx, false)
-}
-
-/// Run one experiment serially, rendering either the paper-style
-/// artifact or CSV.
-pub fn run_experiment_fmt(name: &str, ctx: &ExperimentCtx, csv: bool) -> String {
-    run_experiment_on(&Engine::serial(), name, ctx, csv)
-}
-
 /// Run one experiment on `engine`, rendering either the paper-style
 /// artifact or CSV. The rendered bytes are bit-identical for every
 /// [`Parallelism`] setting (enforced by `tests/engine_determinism.rs`).
@@ -489,11 +478,7 @@ pub fn run_experiment_on(engine: &Engine, name: &str, ctx: &ExperimentCtx, csv: 
     match name {
         "table2" => {
             let pts = exp::characterize_mt_on(engine, &[2, 8], &[true], ctx);
-            if csv {
-                exp::csv_mt(&pts)
-            } else {
-                exp::render_table2(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_mt, exp::render_table2)
         }
         "fig1" | "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "fig7" => {
             let pts = exp::characterize_mt_on(engine, &[2], &[false, true], ctx);
@@ -510,11 +495,7 @@ pub fn run_experiment_on(engine: &Engine, name: &str, ctx: &ExperimentCtx, csv: 
         "bisect-divergence" => run_bisect(&BisectOpts::default(), ctx),
         "fig10" => {
             let pts = exp::fig10_single_thread_impact_on(engine, ctx);
-            if csv {
-                exp::csv_single(&pts)
-            } else {
-                exp::render_fig10(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_single, exp::render_fig10)
         }
         "fig11" => {
             let pts = exp::fig11_self_pairs_on(engine, ctx);
@@ -530,43 +511,28 @@ pub fn run_experiment_on(engine: &Engine, name: &str, ctx: &ExperimentCtx, csv: 
         }
         "fig12" => {
             let pts = exp::fig12_ipc_vs_threads_on(engine, &[1, 2, 4, 8, 16], ctx);
-            if csv {
-                exp::csv_threads(&pts)
-            } else {
-                exp::render_fig12(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_threads, exp::render_fig12)
         }
         "ablation-partition" => {
             let pts = exp::ablation_partition_on(engine, ctx);
-            if csv {
-                exp::csv_partition(&pts)
-            } else {
-                exp::render_ablation_partition(&pts)
-            }
+            csv_or_render(
+                csv,
+                &pts,
+                exp::csv_partition,
+                exp::render_ablation_partition,
+            )
         }
         "ablation-l1" => {
             let pts = exp::ablation_l1_on(engine, &[8, 16, 32, 64], ctx);
-            if csv {
-                exp::csv_l1(&pts)
-            } else {
-                exp::render_ablation_l1(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_l1, exp::render_ablation_l1)
         }
         "ablation-prefetch" => {
             let pts = exp::ablation_prefetch_on(engine, ctx);
-            if csv {
-                exp::csv_prefetch(&pts)
-            } else {
-                exp::render_ablation_prefetch(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_prefetch, exp::render_ablation_prefetch)
         }
         "ablation-jit" => {
             let pts = exp::ablation_jit_on(engine, ctx);
-            if csv {
-                exp::csv_jit(&pts)
-            } else {
-                exp::render_ablation_jit(&pts)
-            }
+            csv_or_render(csv, &pts, exp::csv_jit, exp::render_ablation_jit)
         }
         "litmus" => {
             run_litmus(
@@ -579,6 +545,20 @@ pub fn run_experiment_on(engine: &Engine, name: &str, ctx: &ExperimentCtx, csv: 
             .output
         }
         other => panic!("unknown experiment {other} (validated at parse time)"),
+    }
+}
+
+/// `pts` as CSV or as the paper-style artifact.
+fn csv_or_render<T>(
+    csv: bool,
+    pts: &[T],
+    to_csv: fn(&[T]) -> String,
+    render: fn(&[T]) -> String,
+) -> String {
+    if csv {
+        to_csv(pts)
+    } else {
+        render(pts)
     }
 }
 
@@ -807,15 +787,10 @@ pub fn render_mt_figure(name: &str, pts: &[exp::MtPoint]) -> String {
     }
 }
 
-/// Run every experiment serially, sharing measurement passes where the
-/// paper's figures share data.
-pub fn run_all(ctx: &ExperimentCtx) -> String {
-    run_all_on(&Engine::serial(), ctx)
-}
-
-/// Run every experiment on `engine`, sharing measurement passes where
-/// the paper's figures share data (and solo baselines across the
-/// pairing grid and Figure 11 via the engine's cache).
+/// Run every experiment on `engine`. Artifacts that measure the same
+/// cell (Table 2 and Figures 1 and 12, Figure 10 and the ablations, the
+/// pairing grid and Figure 11) share its one simulation through the
+/// engine's memo.
 pub fn run_all_on(engine: &Engine, ctx: &ExperimentCtx) -> String {
     let mut out = String::new();
     let mut emit = |s: String| {

@@ -11,10 +11,9 @@ use jsmt_cpu::Partition;
 use jsmt_mem::MemConfig;
 use jsmt_report::Table;
 use jsmt_stats::pct_change;
-use jsmt_workloads::{BenchmarkId, WorkloadSpec};
+use jsmt_workloads::{jvm_config_for, BenchmarkId};
 
-use super::{Engine, ExperimentCtx};
-use crate::{System, SystemConfig};
+use super::{Cell, Engine, ExperimentCtx};
 
 /// One benchmark under the three partitioning regimes.
 #[derive(Debug, Clone, Copy)]
@@ -29,38 +28,29 @@ pub struct PartitionPoint {
     pub cycles_dynamic: u64,
 }
 
-fn run_with(spec: WorkloadSpec, cfg: SystemConfig) -> u64 {
-    let mut sys = System::new(cfg);
-    sys.add_process(spec);
-    sys.run_to_completion().cycles
-}
-
-/// The §4.3 ablation over the single-threaded benchmarks (serial).
-pub fn ablation_partition(ctx: &ExperimentCtx) -> Vec<PartitionPoint> {
-    ablation_partition_on(&Engine::serial(), ctx)
-}
-
-/// The §4.3 ablation on `engine`: one job per benchmark (each job runs
-/// the three partitioning regimes).
+/// The §4.3 ablation on `engine`: each single-threaded benchmark under
+/// the three partitioning regimes, one cell each.
 pub fn ablation_partition_on(engine: &Engine, ctx: &ExperimentCtx) -> Vec<PartitionPoint> {
-    engine.run(
-        "ablation-partition",
-        BenchmarkId::SINGLE_THREADED.to_vec(),
-        |&id| {
-            let spec = WorkloadSpec::single(id).with_scale(ctx.scale);
-            PartitionPoint {
-                id,
-                cycles_ht_off: run_with(spec, SystemConfig::p4(false).with_seed(ctx.seed)),
-                cycles_static: run_with(spec, SystemConfig::p4(true).with_seed(ctx.seed)),
-                cycles_dynamic: run_with(
-                    spec,
-                    SystemConfig::p4(true)
-                        .with_partition(Partition::Dynamic)
-                        .with_seed(ctx.seed),
-                ),
-            }
-        },
-    )
+    let ids = BenchmarkId::SINGLE_THREADED;
+    let regimes = [
+        ctx.machine(false),
+        ctx.machine(true),
+        ctx.machine(true).with_partition(Partition::Dynamic),
+    ];
+    let cells = ids
+        .iter()
+        .flat_map(|&id| regimes.map(|cfg| Cell::once(cfg, ctx.workload(id, 1))))
+        .collect();
+    let reports = engine.run("ablation-partition", cells, |cell| engine.report(cell));
+    ids.iter()
+        .zip(reports.chunks(3))
+        .map(|(&id, r)| PartitionPoint {
+            id,
+            cycles_ht_off: r[0].cycles,
+            cycles_static: r[1].cycles,
+            cycles_dynamic: r[2].cycles,
+        })
+        .collect()
 }
 
 /// Render the partitioning ablation.
@@ -106,31 +96,25 @@ pub struct L1Point {
     pub l1d_mpki: f64,
 }
 
-/// The §1 larger-L1 ablation over the multithreaded benchmarks (serial).
-pub fn ablation_l1(sizes_kib: &[usize], ctx: &ExperimentCtx) -> Vec<L1Point> {
-    ablation_l1_on(&Engine::serial(), sizes_kib, ctx)
-}
-
-/// The §1 larger-L1 ablation on `engine`: one job per
-/// `(benchmark, L1D size)` cell.
+/// The §1 larger-L1 ablation on `engine`: the multithreaded benchmarks
+/// (2 threads, HT on) at each L1D size, one cell per
+/// `(benchmark, L1D size)`.
 pub fn ablation_l1_on(engine: &Engine, sizes_kib: &[usize], ctx: &ExperimentCtx) -> Vec<L1Point> {
-    let cells: Vec<(BenchmarkId, usize)> = BenchmarkId::MULTITHREADED
+    let points: Vec<(BenchmarkId, usize)> = BenchmarkId::MULTITHREADED
         .iter()
         .flat_map(|&id| sizes_kib.iter().map(move |&kib| (id, kib)))
         .collect();
-    engine.run("ablation-l1", cells, |&(id, kib)| {
-        let cfg = SystemConfig::p4(true)
-            .with_mem(MemConfig::p4(true).with_l1d_kib(kib))
-            .with_seed(ctx.seed);
-        let spec = WorkloadSpec::threaded(id, 2).with_scale(ctx.scale);
-        let mut sys = System::new(cfg);
-        sys.add_process(spec);
-        let report = sys.run_to_completion();
+    engine.run("ablation-l1", points, |&(id, l1d_kib)| {
+        let mem = MemConfig::p4(true).with_l1d_kib(l1d_kib);
+        let r = engine.report(&Cell::once(
+            ctx.machine(true).with_mem(mem),
+            ctx.workload(id, 2),
+        ));
         L1Point {
             id,
-            l1d_kib: kib,
-            ipc: report.metrics.ipc,
-            l1d_mpki: report.metrics.l1d_mpki,
+            l1d_kib,
+            ipc: r.metrics.ipc,
+            l1d_mpki: r.metrics.l1d_mpki,
         }
     })
 }
@@ -166,7 +150,7 @@ mod tests {
             repeats: 3,
             seed: 1,
         };
-        let pts = ablation_l1(&[8, 64], &ctx);
+        let pts = ablation_l1_on(&Engine::serial(), &[8, 64], &ctx);
         let mol8 = pts
             .iter()
             .find(|p| p.id == BenchmarkId::MolDyn && p.l1d_kib == 8)
@@ -190,14 +174,13 @@ mod tests {
             repeats: 3,
             seed: 1,
         };
-        let spec = WorkloadSpec::single(BenchmarkId::Db).with_scale(ctx.scale);
-        let stat = run_with(spec, SystemConfig::p4(true).with_seed(ctx.seed));
-        let dynp = run_with(
-            spec,
-            SystemConfig::p4(true)
-                .with_partition(Partition::Dynamic)
-                .with_seed(ctx.seed),
-        );
+        let run = |cfg| {
+            Cell::once(cfg, ctx.workload(BenchmarkId::Db, 1))
+                .simulate()
+                .cycles
+        };
+        let stat = run(ctx.machine(true));
+        let dynp = run(ctx.machine(true).with_partition(Partition::Dynamic));
         assert!(
             dynp <= stat + stat / 20,
             "dynamic ({dynp}) should not lose to static ({stat})"
@@ -220,41 +203,33 @@ pub struct PrefetchPoint {
     pub l2_mpki_on: f64,
 }
 
-/// Extension ablation: the P4's L2 streaming prefetcher (the baseline
-/// reproduction models it off; this measures what it buys the
-/// multithreaded Java workloads). Serial.
-pub fn ablation_prefetch(ctx: &ExperimentCtx) -> Vec<PrefetchPoint> {
-    ablation_prefetch_on(&Engine::serial(), ctx)
-}
-
-/// The prefetcher ablation on `engine`: one job per benchmark (each job
-/// runs the prefetcher-off and prefetcher-on configurations).
+/// Extension ablation on `engine`: the P4's L2 streaming prefetcher (the
+/// baseline reproduction models it off; this measures what it buys the
+/// multithreaded Java workloads). One cell per benchmark and setting.
 pub fn ablation_prefetch_on(engine: &Engine, ctx: &ExperimentCtx) -> Vec<PrefetchPoint> {
-    engine.run(
-        "ablation-prefetch",
-        BenchmarkId::MULTITHREADED.to_vec(),
-        |&id| {
-            let run = |prefetch: bool| {
-                let cfg = SystemConfig::p4(true)
-                    .with_mem(MemConfig::p4(true).with_l2_prefetch(prefetch))
-                    .with_seed(ctx.seed);
-                let spec = WorkloadSpec::threaded(id, 2).with_scale(ctx.scale);
-                let mut sys = System::new(cfg);
-                sys.add_process(spec);
-                let r = sys.run_to_completion();
-                (r.metrics.ipc, r.metrics.l2_mpki)
-            };
-            let (ipc_off, l2_mpki_off) = run(false);
-            let (ipc_on, l2_mpki_on) = run(true);
-            PrefetchPoint {
-                id,
-                ipc_off,
-                ipc_on,
-                l2_mpki_off,
-                l2_mpki_on,
-            }
-        },
-    )
+    let ids = BenchmarkId::MULTITHREADED;
+    let cells = ids
+        .iter()
+        .flat_map(|&id| {
+            [false, true].map(|prefetch| {
+                let cfg = ctx
+                    .machine(true)
+                    .with_mem(MemConfig::p4(true).with_l2_prefetch(prefetch));
+                Cell::once(cfg, ctx.workload(id, 2))
+            })
+        })
+        .collect();
+    let reports = engine.run("ablation-prefetch", cells, |cell| engine.report(cell));
+    ids.iter()
+        .zip(reports.chunks(2))
+        .map(|(&id, r)| PrefetchPoint {
+            id,
+            ipc_off: r[0].metrics.ipc,
+            ipc_on: r[1].metrics.ipc,
+            l2_mpki_off: r[0].metrics.l2_mpki,
+            l2_mpki_on: r[1].metrics.l2_mpki,
+        })
+        .collect()
 }
 
 /// Render the prefetcher ablation.
@@ -293,40 +268,33 @@ pub struct JitPoint {
     pub compiles: u64,
 }
 
-/// Extension ablation: background JIT compilation. The paper's
-/// introduction stresses that the JVM's helper threads make even
+/// Extension ablation on `engine`: background JIT compilation. The
+/// paper's introduction stresses that the JVM's helper threads make even
 /// single-threaded Java multithreaded; this measures the compiler
 /// thread's effect on the HT machine (it occupies the sibling context
-/// and extends the interpreted warm-up window). Serial.
-pub fn ablation_jit(ctx: &ExperimentCtx) -> Vec<JitPoint> {
-    ablation_jit_on(&Engine::serial(), ctx)
-}
-
-/// The background-JIT ablation on `engine`: one job per benchmark (each
-/// job runs the instant and background configurations).
+/// and extends the interpreted warm-up window). One cell per benchmark
+/// and compiler mode.
 pub fn ablation_jit_on(engine: &Engine, ctx: &ExperimentCtx) -> Vec<JitPoint> {
-    use jsmt_workloads::jvm_config_for;
-    engine.run(
-        "ablation-jit",
-        BenchmarkId::SINGLE_THREADED.to_vec(),
-        |&id| {
-            let spec = WorkloadSpec::single(id).with_scale(ctx.scale);
-            let run = |background: bool| {
-                let mut sys = System::new(SystemConfig::p4(true).with_seed(ctx.seed));
-                sys.add_process_with_jvm(spec, jvm_config_for(id).with_background_jit(background));
-                let r = sys.run_to_completion();
-                (r.cycles, r.processes[0].compiles_done)
-            };
-            let (cycles_instant, _) = run(false);
-            let (cycles_background, compiles) = run(true);
-            JitPoint {
-                id,
-                cycles_instant,
-                cycles_background,
-                compiles,
-            }
-        },
-    )
+    let ids = BenchmarkId::SINGLE_THREADED;
+    let cells = ids
+        .iter()
+        .flat_map(|&id| {
+            [false, true].map(|background| {
+                let jvm = jvm_config_for(id).with_background_jit(background);
+                Cell::once_with_jvm(ctx.machine(true), ctx.workload(id, 1), jvm)
+            })
+        })
+        .collect();
+    let reports = engine.run("ablation-jit", cells, |cell| engine.report(cell));
+    ids.iter()
+        .zip(reports.chunks(2))
+        .map(|(&id, r)| JitPoint {
+            id,
+            cycles_instant: r[0].cycles,
+            cycles_background: r[1].cycles,
+            compiles: r[1].processes[0].compiles_done,
+        })
+        .collect()
 }
 
 /// Render the background-JIT ablation.

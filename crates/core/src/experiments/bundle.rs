@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use jsmt_snapshot::{open, seal, SnapshotError, Writer};
 use jsmt_workloads::BenchmarkId;
 
-use super::grid::{Cell, PAIR_STAGE, SOLO_STAGE};
+use super::grid::{Job, PAIR_STAGE, SOLO_STAGE};
 use super::litmus::run_checked_cell;
 use super::supervise::{CellFailure, CrashTail, FailureKind, SupervisorCfg};
 use super::{solo_baseline_cycles, Engine, ExperimentCtx};
@@ -322,7 +322,7 @@ impl CrashBundle {
 #[derive(Debug)]
 enum ReplayCell {
     /// A pairing-grid cell, computed exactly as the grid executor does.
-    Grid(Cell),
+    Grid(Job),
     /// A litmus cell: shape and sweep point.
     Litmus(BenchmarkId, u64),
 }
@@ -342,14 +342,14 @@ impl ReplayCell {
             PAIR_STAGE => {
                 let (a, b) = label.split_once('+').ok_or_else(|| unknown("pair label"))?;
                 let (a, b) = (bench(a)?, bench(b)?);
-                Ok(ReplayCell::Grid(Cell::Pair {
+                Ok(ReplayCell::Grid(Job::Pair {
                     a,
                     b,
                     a_solo: solo_baseline_cycles(a, ctx),
                     b_solo: solo_baseline_cycles(b, ctx),
                 }))
             }
-            SOLO_STAGE => Ok(ReplayCell::Grid(Cell::Solo(bench(label)?))),
+            SOLO_STAGE => Ok(ReplayCell::Grid(Job::Solo(bench(label)?))),
             "litmus-sweep" => {
                 let (shape, seed) = label
                     .split_once("@s")
@@ -369,8 +369,8 @@ impl ReplayCell {
 
     fn run(&self, ctx: &ExperimentCtx) {
         match self {
-            ReplayCell::Grid(cell) => {
-                cell.compute(ctx);
+            ReplayCell::Grid(job) => {
+                job.value(&job.cell(ctx).simulate());
             }
             // Re-runs the same checked cell body as the sweep, so a
             // forbidden outcome panics identically on replay.

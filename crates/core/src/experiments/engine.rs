@@ -2,17 +2,16 @@
 //!
 //! Every figure in the paper is a grid of *independent* whole-system
 //! simulations (the 9×9 pairing matrix, the ablation sweeps, the
-//! IPC-vs-thread-count curves). Each simulation is a pure function of
-//! `(SystemConfig, workload specs, seed)`, so the grid can be fanned
-//! across a worker pool with **no effect on the results**: the engine
-//! collects outputs by job index, which makes the assembled result
-//! independent of worker scheduling and therefore bit-identical to a
-//! serial run (enforced by `tests/engine_determinism.rs`).
+//! IPC-vs-thread-count curves). Each simulation is a [`Cell`], a pure
+//! function of its value, so the grid can be fanned across a worker pool
+//! with **no effect on the results**: the engine collects outputs by job
+//! index, which makes the assembled result independent of worker
+//! scheduling and therefore bit-identical to a serial run (enforced by
+//! `tests/engine_determinism.rs`).
 //!
-//! The engine also memoizes the HT-off solo baselines
-//! ([`super::solo_baseline_cycles`]) that the pairing experiments divide
-//! by: a full pairing grid needs each benchmark's baseline in 2·N² cells
-//! but simulates it exactly once (enforced by the cache's stats).
+//! The engine also keeps one memo of cells ([`Engine::report`]): a cell
+//! several artifacts request (Table 2's rows and Figure 12's, the grid's
+//! diagonal and Figure 11) is simulated exactly once per engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +20,8 @@ use std::time::{Duration, Instant};
 
 use jsmt_workloads::BenchmarkId;
 
-use super::{solo_baseline_cycles, ExperimentCtx};
+use super::{baseline_cycles, Cell, ExperimentCtx};
+use crate::RunReport;
 
 /// How an experiment's independent jobs are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,76 +109,70 @@ impl StageTiming {
     }
 }
 
-/// Hit/miss statistics of the memoized baseline cache.
+/// Request statistics of the engine's cell memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BaselineCacheStats {
-    /// Total baseline requests.
+pub struct MemoStats {
+    /// Cell requests.
     pub lookups: u64,
-    /// Requests that simulated the baseline (first request per key).
+    /// Requests that simulated their cell (the first request per cell).
     pub misses: u64,
 }
 
-impl BaselineCacheStats {
-    /// Requests answered from the cache.
+impl MemoStats {
+    /// Requests answered from the memo.
     pub fn hits(&self) -> u64 {
         self.lookups - self.misses
     }
 }
 
-/// Cache key: everything [`solo_baseline_cycles`] depends on. `scale` is
-/// stored by bit pattern so the key is `Eq`/`Hash`.
-type BaselineKey = (BenchmarkId, u64, u64, u64, bool);
+/// A memo slot: filled once with the cell's report.
+type Slot = Arc<OnceLock<Arc<RunReport>>>;
 
-fn baseline_key(id: BenchmarkId, ctx: &ExperimentCtx, ht: bool) -> BaselineKey {
-    (id, ctx.scale.to_bits(), ctx.seed, ctx.repeats, ht)
-}
-
-/// Memoized solo baselines. Concurrent first requests for the same key
-/// are serialized through a per-key [`OnceLock`], so each baseline is
-/// simulated exactly once no matter how many workers race for it.
+/// Finished cells. Concurrent first requests for a cell serialize on its
+/// slot's [`OnceLock`], so it is simulated once however many workers race
+/// for it. Cells are found by key and compared whole, so two cells whose
+/// keys collide still get a slot each.
 #[derive(Default)]
-struct BaselineCache {
-    slots: Mutex<HashMap<BaselineKey, Arc<OnceLock<u64>>>>,
+struct Memo {
+    slots: Mutex<HashMap<u64, Vec<(Cell, Slot)>>>,
     lookups: AtomicU64,
     misses: AtomicU64,
 }
 
-impl BaselineCache {
-    fn get_or_compute(&self, key: BaselineKey, compute: impl FnOnce() -> u64) -> u64 {
+impl Memo {
+    fn report(&self, cell: &Cell) -> Arc<RunReport> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        let key = cell.key();
         let slot = {
-            let mut slots = self.slots.lock().expect("baseline cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
+            let mut slots = self.slots.lock().expect("cell memo poisoned");
+            let bucket = slots.entry(key).or_default();
+            match bucket.iter().find(|(c, _)| c == cell) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    bucket.push((cell.clone(), Arc::clone(&slot)));
+                    slot
+                }
+            }
         };
-        *slot.get_or_init(|| {
+        Arc::clone(slot.get_or_init(|| {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            compute()
-        })
+            Arc::new(cell.simulate())
+        }))
     }
 
-    fn stats(&self) -> BaselineCacheStats {
-        BaselineCacheStats {
+    fn stats(&self) -> MemoStats {
+        MemoStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Fill a key's slot with a value obtained without a request (the
-    /// result cache, a worker process). A slot already filled keeps its
-    /// value: both came from the same pure computation.
-    fn remember(&self, key: BaselineKey, value: u64) {
-        let slot = {
-            let mut slots = self.slots.lock().expect("baseline cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let _ = slot.set(value);
     }
 }
 
 /// The deterministic job-runner shared by every experiment driver.
 pub struct Engine {
     par: Parallelism,
-    baselines: BaselineCache,
+    memo: Memo,
     /// Optional persistent result cache (`--cache-dir` / `JSMT_CACHE`),
     /// consulted and filled by the grid executor.
     result_cache: Option<Arc<jsmt_cache::Cache>>,
@@ -191,7 +185,7 @@ impl Engine {
     pub fn new(par: Parallelism) -> Self {
         Engine {
             par,
-            baselines: BaselineCache::default(),
+            memo: Memo::default(),
             result_cache: None,
             job_timings: Mutex::new(Vec::new()),
             stage_timings: Mutex::new(Vec::new()),
@@ -241,14 +235,14 @@ impl Engine {
         let stage_start = Instant::now();
         let n = jobs.len();
         let workers = self.par.workers().min(n.max(1));
-        let mut timed: Vec<(usize, Duration)> = Vec::with_capacity(n);
+        let mut elapsed = vec![Duration::ZERO; n];
         let mut out: Vec<Option<O>> = Vec::with_capacity(n);
 
         if workers <= 1 {
             for (index, job) in jobs.iter().enumerate() {
                 let t0 = Instant::now();
                 out.push(Some(f(job)));
-                timed.push((index, t0.elapsed()));
+                elapsed[index] = t0.elapsed();
             }
         } else {
             out.extend((0..n).map(|_| None));
@@ -273,69 +267,63 @@ impl Engine {
                     });
                 }
                 drop(tx);
-                for (index, elapsed, result) in rx {
+                for (index, took, result) in rx {
                     out[index] = Some(result);
-                    timed.push((index, elapsed));
+                    elapsed[index] = took;
                 }
             });
-            timed.sort_by_key(|&(index, _)| index);
         }
 
-        let busy: Duration = timed.iter().map(|&(_, d)| d).sum();
-        let longest = timed.iter().map(|&(_, d)| d).max().unwrap_or_default();
-        {
-            let mut jt = self.job_timings.lock().expect("timings poisoned");
-            jt.extend(timed.iter().map(|&(index, elapsed)| JobTiming {
-                stage: stage.into(),
-                index,
-                elapsed,
-            }));
-        }
-        self.stage_timings
-            .lock()
-            .expect("timings poisoned")
-            .push(StageTiming {
-                stage: stage.into(),
-                jobs: n,
-                busy,
-                longest,
-                wall: stage_start.elapsed(),
-            });
-
+        self.record_stage(stage, stage_start, &elapsed);
         out.into_iter()
             .map(|o| o.expect("every job index was collected"))
             .collect()
     }
 
-    /// Memoized [`solo_baseline_cycles`]: the first request per
-    /// `(benchmark, scale, seed, repeats)` simulates; every later request
-    /// (any worker) is an in-memory hit.
+    /// Record a stage that started at `start`, with each job's time in job
+    /// order: both transports account their stages here.
+    pub(crate) fn record_stage(&self, stage: &str, start: Instant, elapsed: &[Duration]) {
+        self.job_timings
+            .lock()
+            .expect("timings poisoned")
+            .extend(
+                elapsed
+                    .iter()
+                    .enumerate()
+                    .map(|(index, &elapsed)| JobTiming {
+                        stage: stage.into(),
+                        index,
+                        elapsed,
+                    }),
+            );
+        self.stage_timings
+            .lock()
+            .expect("timings poisoned")
+            .push(StageTiming {
+                stage: stage.into(),
+                jobs: elapsed.len(),
+                busy: elapsed.iter().sum(),
+                longest: elapsed.iter().copied().max().unwrap_or_default(),
+                wall: start.elapsed(),
+            });
+    }
+
+    /// The report of `cell`: simulated on the calling thread at the first
+    /// request, served from the memo at every later one.
+    pub fn report(&self, cell: &Cell) -> Arc<RunReport> {
+        self.memo.report(cell)
+    }
+
+    /// [`super::solo_baseline_cycles`] as a projection of the memoized
+    /// [`Cell::solo_baseline`].
     pub fn solo_baseline(&self, id: BenchmarkId, ctx: &ExperimentCtx) -> u64 {
-        self.baselines
-            .get_or_compute(baseline_key(id, ctx, false), || {
-                solo_baseline_cycles(id, ctx)
-            })
+        baseline_cycles(&self.report(&Cell::solo_baseline(id, ctx)))
     }
 
-    /// Record a baseline the grid executor obtained without simulating
-    /// it here (from the result cache or a worker process), so later
-    /// requests hit. Not a request: the statistics are untouched.
-    pub(crate) fn remember_baseline(&self, id: BenchmarkId, ctx: &ExperimentCtx, cycles: u64) {
-        self.baselines
-            .remember(baseline_key(id, ctx, false), cycles);
-    }
-
-    /// Compute the baselines for `ids` as one engine stage, so that the
-    /// following grid stage finds them all cached (and so baseline
-    /// simulation itself is parallelized).
-    pub fn prewarm_baselines(&self, ids: &[BenchmarkId], ctx: &ExperimentCtx) {
-        let jobs: Vec<BenchmarkId> = ids.to_vec();
-        self.run("solo-baselines", jobs, |&id| self.solo_baseline(id, ctx));
-    }
-
-    /// Baseline-cache statistics accumulated so far.
-    pub fn baseline_stats(&self) -> BaselineCacheStats {
-        self.baselines.stats()
+    /// Cell-memo statistics so far (the name predates the memo; it counts
+    /// every cell request).
+    pub fn baseline_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     /// Per-job timings accumulated so far (submission order per stage).
@@ -422,64 +410,71 @@ mod tests {
         assert_eq!(Parallelism::Threads(6).workers(), 6);
     }
 
-    #[test]
-    fn baseline_cache_hits_and_misses_are_counted() {
-        let ctx = ExperimentCtx {
+    fn ctx() -> ExperimentCtx {
+        ExperimentCtx {
             scale: 0.01,
             repeats: 2,
             seed: 7,
-        };
+        }
+    }
+
+    #[test]
+    fn baseline_cache_hits_and_misses_are_counted() {
+        let ctx = ctx();
         let engine = Engine::serial();
         let a = engine.solo_baseline(BenchmarkId::Compress, &ctx);
         let b = engine.solo_baseline(BenchmarkId::Compress, &ctx);
         assert_eq!(a, b);
         assert_eq!(
             engine.baseline_stats(),
-            BaselineCacheStats {
+            MemoStats {
                 lookups: 2,
                 misses: 1
             }
         );
-        // A different key is a fresh miss…
+        // A different cell is a fresh miss…
         engine.solo_baseline(BenchmarkId::Db, &ctx);
         assert_eq!(engine.baseline_stats().misses, 2);
-        // …and a different scale is too.
+        // …and so is a different scale…
         let ctx2 = ExperimentCtx { scale: 0.02, ..ctx };
         engine.solo_baseline(BenchmarkId::Compress, &ctx2);
+        // …while the same cell requested as a cell is a hit.
+        let report = engine.report(&Cell::solo_baseline(BenchmarkId::Db, &ctx));
+        assert_eq!(
+            baseline_cycles(&report),
+            engine.solo_baseline(BenchmarkId::Db, &ctx)
+        );
         let s = engine.baseline_stats();
-        assert_eq!((s.lookups, s.misses, s.hits()), (4, 3, 1));
+        assert_eq!((s.lookups, s.misses, s.hits()), (6, 3, 3));
     }
 
     #[test]
     fn cached_baseline_equals_uncached() {
-        let ctx = ExperimentCtx {
-            scale: 0.01,
-            repeats: 2,
-            seed: 7,
-        };
+        let ctx = ctx();
         let engine = Engine::new(Parallelism::Threads(4));
-        engine.prewarm_baselines(&[BenchmarkId::Compress, BenchmarkId::Db], &ctx);
+        let cells = vec![
+            Cell::solo_baseline(BenchmarkId::Compress, &ctx),
+            Cell::solo_baseline(BenchmarkId::Db, &ctx),
+        ];
+        let reports = engine.run("solo-baselines", cells.clone(), |cell| engine.report(cell));
+        for (cell, report) in cells.iter().zip(&reports) {
+            let direct = cell.simulate();
+            assert_eq!(report.cycles, direct.cycles);
+            assert_eq!(report.bank, direct.bank);
+        }
         assert_eq!(
             engine.solo_baseline(BenchmarkId::Compress, &ctx),
-            solo_baseline_cycles(BenchmarkId::Compress, &ctx)
+            super::super::solo_baseline_cycles(BenchmarkId::Compress, &ctx)
         );
-        assert_eq!(
-            engine.solo_baseline(BenchmarkId::Db, &ctx),
-            solo_baseline_cycles(BenchmarkId::Db, &ctx)
-        );
+        assert_eq!(engine.baseline_stats().misses, 2);
     }
 
     #[test]
     fn concurrent_requests_simulate_once_per_key() {
-        let ctx = ExperimentCtx {
-            scale: 0.01,
-            repeats: 2,
-            seed: 7,
-        };
+        let ctx = ctx();
         let engine = Engine::new(Parallelism::Threads(8));
-        // 32 jobs all demanding the same two baselines, no prewarm: the
-        // per-key OnceLock must still collapse them to one simulation
-        // each.
+        // 32 jobs all demanding the same two cells: the per-cell
+        // OnceLock must collapse them to one simulation each.
         let jobs: Vec<usize> = (0..32).collect();
         let vals = engine.run("hammer", jobs, |&i| {
             let id = if i % 2 == 0 {
@@ -493,30 +488,7 @@ mod tests {
         assert!(vals.iter().skip(1).step_by(2).all(|&v| v == vals[1]));
         let s = engine.baseline_stats();
         assert_eq!(s.lookups, 32);
-        assert_eq!(s.misses, 2, "each distinct key simulated exactly once");
-    }
-
-    #[test]
-    fn remembered_baselines_serve_without_a_simulation() {
-        let ctx = ExperimentCtx {
-            scale: 0.01,
-            repeats: 2,
-            seed: 7,
-        };
-        let engine = Engine::serial();
-        engine.remember_baseline(BenchmarkId::Compress, &ctx, 1234);
-        assert_eq!(engine.baseline_stats(), BaselineCacheStats::default());
-        assert_eq!(engine.solo_baseline(BenchmarkId::Compress, &ctx), 1234);
-        assert_eq!(
-            engine.baseline_stats(),
-            BaselineCacheStats {
-                lookups: 1,
-                misses: 0
-            }
-        );
-        // A filled slot keeps its value.
-        engine.remember_baseline(BenchmarkId::Compress, &ctx, 99);
-        assert_eq!(engine.solo_baseline(BenchmarkId::Compress, &ctx), 1234);
+        assert_eq!(s.misses, 2, "each distinct cell simulated exactly once");
     }
 
     #[test]

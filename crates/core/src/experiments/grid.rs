@@ -16,9 +16,10 @@
 //!   index) and assembles the [`SupervisedGrid`].
 //!
 //! A transport only computes cells, always under supervision: the
-//! engine's threads run each one under [`Engine::run_supervised`], the
-//! worker processes behind `repro --workers N` under the same machinery
-//! in their own address space (see [`super::shard`]). Retries, deadline
+//! engine's threads run each one under [`Engine::run_supervised`] and
+//! request its [`Cell`] from the engine's memo, the worker processes
+//! behind `repro --workers N` simulate it under the same machinery in
+//! their own address space (see [`super::shard`]). Retries, deadline
 //! and backoff come from one [`SupervisorCfg`] on either transport. A
 //! cell is a pure function of its inputs, so the grid is bit-identical
 //! whatever the transport, the worker count, or the share of cells the
@@ -29,12 +30,13 @@ use std::collections::BTreeMap;
 use jsmt_cache::{Cache, CacheKey};
 use jsmt_workloads::BenchmarkId;
 
-use super::pairing::{run_pair, PairGrid, PairOutcome};
+use super::pairing::{pair_outcome, PairGrid, PairOutcome};
 use super::rescache;
 use super::shard::{Pool, ShardCfg};
 use super::supervise::{manifest_csv, CellFailure, FailureKind, SupervisorCfg};
-use super::{solo_baseline_cycles, Engine, ExperimentCtx};
+use super::{baseline_cycles, Cell, Engine, ExperimentCtx};
 use crate::error::JsmtError;
+use crate::RunReport;
 
 /// Stage of the nine solo baselines; fault scopes and crash bundles
 /// name its cells `solo-baselines/<bench>`.
@@ -51,9 +53,9 @@ pub enum Transport<'a> {
     Processes(&'a ShardCfg),
 }
 
-/// One unit of grid work.
+/// One unit of grid work: a [`Cell`] and the value read off its report.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Cell {
+pub(crate) enum Job {
     /// The HT-off solo baseline of one benchmark.
     Solo(BenchmarkId),
     /// The HT-on co-run of `a` with `b`, over their solo baselines.
@@ -65,7 +67,7 @@ pub(crate) enum Cell {
     },
 }
 
-/// The computed value of a [`Cell`].
+/// The computed value of a [`Job`].
 #[derive(Debug, Clone)]
 pub(crate) enum Value {
     /// A solo baseline, in cycles.
@@ -74,12 +76,12 @@ pub(crate) enum Value {
     Pair(PairOutcome),
 }
 
-impl Cell {
-    /// The cell's label within its stage (`jess`, `compress+db`).
+impl Job {
+    /// The job's label within its stage (`jess`, `compress+db`).
     pub(crate) fn label(&self) -> String {
         match self {
-            Cell::Solo(id) => id.name().to_string(),
-            Cell::Pair { a, b, .. } => format!("{}+{}", a.name(), b.name()),
+            Job::Solo(id) => id.name().to_string(),
+            Job::Pair { a, b, .. } => format!("{}+{}", a.name(), b.name()),
         }
     }
 
@@ -87,8 +89,8 @@ impl Cell {
     /// `pair <a> <b> <a_solo> <b_solo>`.
     pub(crate) fn spec(&self) -> String {
         match self {
-            Cell::Solo(id) => format!("solo {}", id.name()),
-            Cell::Pair {
+            Job::Solo(id) => format!("solo {}", id.name()),
+            Job::Pair {
                 a,
                 b,
                 a_solo,
@@ -97,12 +99,12 @@ impl Cell {
         }
     }
 
-    /// Inverse of [`Cell::spec`], over the request's tokens; `None` when
+    /// Inverse of [`Job::spec`], over the request's tokens; `None` when
     /// they are malformed.
-    pub(crate) fn parse(spec: &[&str]) -> Option<Cell> {
+    pub(crate) fn parse(spec: &[&str]) -> Option<Job> {
         match spec {
-            ["solo", name] => Some(Cell::Solo(BenchmarkId::parse(name)?)),
-            ["pair", a, b, a_solo, b_solo] => Some(Cell::Pair {
+            ["solo", name] => Some(Job::Solo(BenchmarkId::parse(name)?)),
+            ["pair", a, b, a_solo, b_solo] => Some(Job::Pair {
                 a: BenchmarkId::parse(a)?,
                 b: BenchmarkId::parse(b)?,
                 a_solo: a_solo.parse().ok()?,
@@ -112,33 +114,39 @@ impl Cell {
         }
     }
 
-    /// Simulate the cell: a pure function of the cell and `ctx`.
-    pub(crate) fn compute(&self, ctx: &ExperimentCtx) -> Value {
+    /// The simulation the job reads its value from.
+    pub(crate) fn cell(&self, ctx: &ExperimentCtx) -> Cell {
         match *self {
-            Cell::Solo(id) => Value::Solo(solo_baseline_cycles(id, ctx)),
-            Cell::Pair {
-                a,
-                b,
-                a_solo,
-                b_solo,
-            } => Value::Pair(run_pair(a, b, a_solo, b_solo, ctx)),
+            Job::Solo(id) => Cell::solo_baseline(id, ctx),
+            Job::Pair { a, b, .. } => Cell::corun(a, b, ctx),
         }
     }
 
-    fn key(&self, ctx: &ExperimentCtx) -> CacheKey {
+    /// The job's value, read off its cell's report.
+    pub(crate) fn value(&self, report: &RunReport) -> Value {
         match *self {
-            Cell::Solo(id) => rescache::solo_key(id, ctx),
-            Cell::Pair { a, b, .. } => rescache::pair_key(a, b, ctx),
+            Job::Solo(_) => Value::Solo(baseline_cycles(report)),
+            Job::Pair { a_solo, b_solo, .. } => Value::Pair(pair_outcome(report, a_solo, b_solo)),
         }
+    }
+
+    /// The job's persistent-cache key: its cell's key, and for a co-run
+    /// also the two baselines its speedups divide by.
+    pub(crate) fn key(&self, ctx: &ExperimentCtx) -> CacheKey {
+        let baselines = match *self {
+            Job::Solo(_) => Vec::new(),
+            Job::Pair { a_solo, b_solo, .. } => vec![a_solo, b_solo],
+        };
+        rescache::key(self.label(), self.cell(ctx).key(), &baselines, ctx.seed)
     }
 
     /// Decode value bytes (a cache entry or a worker's reply) as this
-    /// cell's value; `None` when they do not decode or describe another
-    /// cell's programs.
+    /// job's value; `None` when they do not decode or describe another
+    /// job's programs.
     pub(crate) fn decode(&self, bytes: &[u8]) -> Option<Value> {
         match *self {
-            Cell::Solo(_) => rescache::decode_solo(bytes).map(Value::Solo),
-            Cell::Pair { a, b, .. } => rescache::decode_pair(bytes)
+            Job::Solo(_) => rescache::decode_solo(bytes).map(Value::Solo),
+            Job::Pair { a, b, .. } => rescache::decode_pair(bytes)
                 .filter(|o| o.a == a && o.b == b)
                 .map(Value::Pair),
         }
@@ -155,8 +163,8 @@ impl Value {
     }
 }
 
-/// Called with each computed cell as its result arrives.
-pub(crate) type OnValue<'a> = dyn Fn(&Cell, &Value) + Sync + 'a;
+/// Called with each computed job as its result arrives.
+pub(crate) type OnValue<'a> = dyn Fn(&Job, &Value) + Sync + 'a;
 
 /// A pairing grid as the executor leaves it: the finished cells plus
 /// the failures that exhausted their attempts. A grid with no failures
@@ -221,9 +229,8 @@ impl SupervisedGrid {
 }
 
 /// Run the pairing grid on `transport`: the nine solo baselines, then
-/// the 81 co-runs over them. Every solo value lands in the engine's
-/// baseline memo, and every co-run reads its two baselines from there,
-/// so later drivers on the same engine (Figure 11) simulate none.
+/// the 81 co-runs over the baselines the first stage returned. On the
+/// thread transport every cell goes through the engine's memo.
 ///
 /// A failed cell never takes the grid down: it becomes a
 /// [`CellFailure`], its row is missing from the result, and the co-runs
@@ -254,31 +261,34 @@ pub fn pair_grid(
         failures: Vec::new(),
     };
 
-    let solos: Vec<(usize, Cell)> = benchmarks
+    let solos: Vec<(usize, Job)> = benchmarks
         .iter()
         .enumerate()
-        .map(|(i, &id)| (i, Cell::Solo(id)))
+        .map(|(i, &id)| (i, Job::Solo(id)))
         .collect();
-    let mut have_solo = vec![false; n];
-    for ((i, _), value) in solos.iter().zip(exec.stage(SOLO_STAGE, &solos)?) {
-        if let Some(Value::Solo(cycles)) = value {
-            engine.remember_baseline(benchmarks[*i], ctx, cycles);
-            have_solo[*i] = true;
-        }
-    }
+    let solo: Vec<Option<u64>> = exec
+        .stage(SOLO_STAGE, &solos)?
+        .into_iter()
+        .map(|value| match value {
+            Some(Value::Solo(cycles)) => Some(cycles),
+            _ => None,
+        })
+        .collect();
 
-    let mut pairs: Vec<(usize, Cell)> = Vec::with_capacity(n * n);
+    let mut pairs: Vec<(usize, Job)> = Vec::with_capacity(n * n);
     for (i, &a) in benchmarks.iter().enumerate() {
         for (j, &b) in benchmarks.iter().enumerate() {
             let index = i * n + j;
-            if have_solo[i] && have_solo[j] {
-                let cell = Cell::Pair {
-                    a,
-                    b,
-                    a_solo: engine.solo_baseline(a, ctx),
-                    b_solo: engine.solo_baseline(b, ctx),
-                };
-                pairs.push((index, cell));
+            if let (Some(a_solo), Some(b_solo)) = (solo[i], solo[j]) {
+                pairs.push((
+                    index,
+                    Job::Pair {
+                        a,
+                        b,
+                        a_solo,
+                        b_solo,
+                    },
+                ));
             } else {
                 exec.failures.push(CellFailure {
                     stage: PAIR_STAGE.to_string(),
@@ -326,31 +336,31 @@ struct Executor<'a> {
 }
 
 impl Executor<'_> {
-    /// Run one stage of `(grid index, cell)` jobs: serve what the cache
+    /// Run one stage of `(grid index, job)` pairs: serve what the cache
     /// holds, compute the rest on the transport, and store each computed
-    /// value as it arrives. Returns the cells' values in order; a failed
-    /// cell's is `None` and its record joins `self.failures`.
+    /// value as it arrives. Returns the jobs' values in order; a failed
+    /// job's is `None` and its record joins `self.failures`.
     fn stage(
         &mut self,
         stage: &str,
-        cells: &[(usize, Cell)],
+        jobs: &[(usize, Job)],
     ) -> Result<Vec<Option<Value>>, JsmtError> {
-        let mut values: Vec<Option<Value>> = cells.iter().map(|(_, c)| self.lookup(c)).collect();
-        let pending: Vec<(usize, Cell)> = cells
+        let mut values: Vec<Option<Value>> = jobs.iter().map(|(_, j)| self.lookup(j)).collect();
+        let pending: Vec<(usize, Job)> = jobs
             .iter()
             .zip(&values)
             .filter(|(_, v)| v.is_none())
             .map(|(job, _)| *job)
             .collect();
         let (ctx, cache) = (self.ctx, self.cache);
-        let store = |cell: &Cell, value: &Value| {
+        let store = |job: &Job, value: &Value| {
             if let Some(cache) = cache {
-                cache.store(&cell.key(ctx), &value.encode());
+                cache.store(&job.key(ctx), &value.encode());
             }
         };
         let results = match self.pool.as_mut() {
             None => on_threads(self.engine, stage, ctx, self.cfg, &pending, &store),
-            Some(pool) => pool.run_stage(stage, ctx, self.cfg, &pending, &store)?,
+            Some(pool) => pool.run_stage(self.engine, stage, ctx, self.cfg, &pending, &store)?,
         };
         let mut results = results.into_iter();
         for value in values.iter_mut().filter(|v| v.is_none()) {
@@ -362,13 +372,13 @@ impl Executor<'_> {
         Ok(values)
     }
 
-    /// The cell's verified cache entry, if the cache holds one. An entry
+    /// The job's verified cache entry, if the cache holds one. An entry
     /// that does not decode is recomputed and overwritten, the same
     /// heal-by-recompute policy the cache applies to a bad seal.
-    fn lookup(&self, cell: &Cell) -> Option<Value> {
+    fn lookup(&self, job: &Job) -> Option<Value> {
         let cache = self.cache?;
-        let key = cell.key(self.ctx);
-        let value = cell.decode(&cache.lookup(&key)?);
+        let key = job.key(self.ctx);
+        let value = job.decode(&cache.lookup(&key)?);
         if value.is_none() {
             eprintln!("# cache: undecodable value for {key}; recomputing");
         }
@@ -376,27 +386,23 @@ impl Executor<'_> {
     }
 }
 
-/// The thread transport: each cell runs under [`Engine::run_supervised`]
-/// on the engine's workers. Solo cells go through the engine's baseline
-/// memo, so a second grid on the same engine simulates none.
+/// The thread transport: each job runs under [`Engine::run_supervised`]
+/// on the engine's workers and requests its cell from the engine's memo.
 fn on_threads(
     engine: &Engine,
     stage: &str,
     ctx: &ExperimentCtx,
     cfg: &SupervisorCfg,
-    cells: &[(usize, Cell)],
+    jobs: &[(usize, Job)],
     on_value: &OnValue<'_>,
 ) -> Vec<Result<Value, CellFailure>> {
-    let jobs = cells
+    let jobs = jobs
         .iter()
-        .map(|&(index, cell)| (index, cell.label(), cell))
+        .map(|&(index, job)| (index, job.label(), job))
         .collect();
-    engine.run_supervised_at(stage, cfg, ctx, jobs, |cell| {
-        let value = match *cell {
-            Cell::Solo(id) => Value::Solo(engine.solo_baseline(id, ctx)),
-            _ => cell.compute(ctx),
-        };
-        on_value(cell, &value);
+    engine.run_supervised_at(stage, cfg, ctx, jobs, |job| {
+        let value = job.value(&engine.report(&job.cell(ctx)));
+        on_value(job, &value);
         value
     })
 }
@@ -407,23 +413,23 @@ mod tests {
 
     #[test]
     fn cell_specs_round_trip() {
-        let cells = [
-            Cell::Solo(BenchmarkId::Jess),
-            Cell::Pair {
+        let jobs = [
+            Job::Solo(BenchmarkId::Jess),
+            Job::Pair {
                 a: BenchmarkId::Compress,
                 b: BenchmarkId::Db,
                 a_solo: 12_345,
                 b_solo: 67_890,
             },
         ];
-        for cell in cells {
-            let spec = cell.spec();
+        for job in jobs {
+            let spec = job.spec();
             let tokens: Vec<&str> = spec.split_whitespace().collect();
-            assert_eq!(Cell::parse(&tokens), Some(cell), "{spec}");
+            assert_eq!(Job::parse(&tokens), Some(job), "{spec}");
         }
-        assert_eq!(Cell::parse(&["solo", "not-a-benchmark"]), None);
-        assert_eq!(Cell::parse(&["pair", "db"]), None);
-        assert_eq!(Cell::parse(&["pair", "db", "jess", "1", "x"]), None);
+        assert_eq!(Job::parse(&["solo", "not-a-benchmark"]), None);
+        assert_eq!(Job::parse(&["pair", "db"]), None);
+        assert_eq!(Job::parse(&["pair", "db", "jess", "1", "x"]), None);
     }
 
     #[test]
@@ -438,18 +444,18 @@ mod tests {
             completions: (3, 4),
         };
         let bytes = Value::Pair(o).encode();
-        let cell = |a, b| Cell::Pair {
+        let job = |a, b| Job::Pair {
             a,
             b,
             a_solo: 1,
             b_solo: 1,
         };
-        assert!(cell(BenchmarkId::Jess, BenchmarkId::Jack)
+        assert!(job(BenchmarkId::Jess, BenchmarkId::Jack)
             .decode(&bytes)
             .is_some());
-        assert!(cell(BenchmarkId::Jack, BenchmarkId::Jess)
+        assert!(job(BenchmarkId::Jack, BenchmarkId::Jess)
             .decode(&bytes)
             .is_none());
-        assert!(Cell::Solo(BenchmarkId::Jess).decode(&bytes).is_none());
+        assert!(Job::Solo(BenchmarkId::Jess).decode(&bytes).is_none());
     }
 }

@@ -1,12 +1,15 @@
 //! Experiment drivers: one module per group of tables/figures.
 //!
 //! Every driver is a pure function of an [`ExperimentCtx`] (scale,
-//! repetition count, seed), returns structured data, and has a `render_*`
-//! companion that prints the paper-style table/figure. The `repro`
-//! binary in `jsmt-bench` is a thin CLI over these functions.
+//! repetition count, seed): it lists the [`Cell`]s it measures, requests
+//! their reports from an [`Engine`], and derives structured points from
+//! them. Each has a `render_*` companion that prints the paper-style
+//! table/figure. The `repro` binary in `jsmt-bench` is a thin CLI over
+//! these functions.
 
 mod ablations;
 mod bundle;
+mod cell;
 mod csv_out;
 mod engine;
 mod grid;
@@ -20,40 +23,39 @@ pub mod supervise;
 mod threadcount;
 
 pub use ablations::{
-    ablation_jit, ablation_jit_on, ablation_l1, ablation_l1_on, ablation_partition,
-    ablation_partition_on, ablation_prefetch, ablation_prefetch_on, render_ablation_jit,
-    render_ablation_l1, render_ablation_partition, render_ablation_prefetch, JitPoint, L1Point,
-    PartitionPoint, PrefetchPoint,
+    ablation_jit_on, ablation_l1_on, ablation_partition_on, ablation_prefetch_on,
+    render_ablation_jit, render_ablation_l1, render_ablation_partition, render_ablation_prefetch,
+    JitPoint, L1Point, PartitionPoint, PrefetchPoint,
 };
 pub use bundle::{CrashBundle, ReplayReport, KIND_BUNDLE};
+pub use cell::{Cell, Launch};
 pub use csv_out::{
     csv_grid, csv_jit, csv_l1, csv_litmus, csv_mt, csv_partition, csv_prefetch, csv_single,
     csv_threads,
 };
-pub use engine::{BaselineCacheStats, Engine, JobTiming, Parallelism, StageTiming};
+pub use engine::{Engine, JobTiming, MemoStats, Parallelism, StageTiming};
 pub use grid::{pair_grid, SupervisedGrid, Transport};
 pub use litmus::{
     allowed_outcomes, check_label, forbidden_example, litmus_cell, litmus_sweeps, render_litmus,
     LitmusPoint, LitmusSweep, SupervisedLitmus, LITMUS_CORRUPT_TARGET,
 };
 pub use mt::{
-    characterize_mt, characterize_mt_on, gc_cycle_fraction, render_fig1, render_fig2,
-    render_fig_mpki, render_table2, MpkiKind, MtPoint,
+    characterize_mt_on, gc_cycle_fraction, render_fig1, render_fig2, render_fig_mpki,
+    render_table2, MpkiKind, MtPoint,
 };
 pub use pairing::{
-    pair_matrix, pair_matrix_on, pairing_analysis, pairing_prediction, render_fig8, render_fig9,
+    pair_matrix_on, pairing_analysis, pairing_prediction, render_fig8, render_fig9,
     render_pairing_analysis, render_pairing_prediction, run_pair, tc_misses, PairGrid, PairOutcome,
     PairingAnalysis, PairingPrediction,
 };
 pub use shard::{shard_worker_main, ShardCfg};
 pub use single::{
-    fig10_single_thread_impact, fig10_single_thread_impact_on, fig11_self_pairs,
-    fig11_self_pairs_on, render_fig10, render_fig11, SinglePoint,
+    fig10_single_thread_impact_on, fig11_self_pairs_on, render_fig10, render_fig11, SinglePoint,
 };
 pub use supervise::{backoff_schedule, manifest_csv, CellFailure, FailureKind, SupervisorCfg};
-pub use threadcount::{fig12_ipc_vs_threads, fig12_ipc_vs_threads_on, render_fig12, ThreadPoint};
+pub use threadcount::{fig12_ipc_vs_threads_on, render_fig12, ThreadPoint};
 
-use crate::{RunReport, System, SystemConfig};
+use crate::{RunReport, SystemConfig};
 use jsmt_workloads::{BenchmarkId, WorkloadSpec};
 
 /// Shared experiment parameters.
@@ -99,14 +101,17 @@ impl ExperimentCtx {
             seed: 0x15_9A55,
         }
     }
-}
 
-/// Run `spec` alone on a machine with Hyper-Threading `ht`; returns the
-/// full report (completion time is `report.cycles`).
-pub fn solo_run(spec: WorkloadSpec, ht: bool, seed: u64) -> RunReport {
-    let mut sys = System::new(SystemConfig::p4(ht).with_seed(seed));
-    sys.add_process(spec);
-    sys.run_to_completion()
+    /// The paper's machine with Hyper-Threading `ht`, under this
+    /// context's seed.
+    pub fn machine(&self, ht: bool) -> SystemConfig {
+        SystemConfig::p4(ht).with_seed(self.seed)
+    }
+
+    /// `threads` threads of `id` at this context's scale.
+    pub fn workload(&self, id: BenchmarkId, threads: usize) -> WorkloadSpec {
+        WorkloadSpec::threaded(id, threads).with_scale(self.scale)
+    }
 }
 
 /// Solo execution time (cycles) of a single-threaded benchmark on the
@@ -119,10 +124,11 @@ pub fn solo_run(spec: WorkloadSpec, ht: bool, seed: u64) -> RunReport {
 /// simulation scale the cold first execution would otherwise bias every
 /// speedup upward.
 pub fn solo_baseline_cycles(id: BenchmarkId, ctx: &ExperimentCtx) -> u64 {
-    let spec = WorkloadSpec::single(id).with_scale(ctx.scale);
-    let mut sys = System::new(SystemConfig::p4(false).with_seed(ctx.seed));
-    sys.add_relaunching_process(spec);
-    let report = sys.run_until_completions(ctx.repeats.min(4) + 2);
+    baseline_cycles(&Cell::solo_baseline(id, ctx).simulate())
+}
+
+/// The trimmed mean execution time a [`Cell::solo_baseline`] measures.
+pub(crate) fn baseline_cycles(report: &RunReport) -> u64 {
     report.processes[0].mean_duration().round() as u64
 }
 
@@ -133,8 +139,8 @@ mod tests {
     #[test]
     fn solo_run_completes() {
         let ctx = ExperimentCtx::quick();
-        let spec = WorkloadSpec::single(BenchmarkId::Mpegaudio).with_scale(ctx.scale);
-        let r = solo_run(spec, false, ctx.seed);
+        let cold = Cell::once(ctx.machine(false), ctx.workload(BenchmarkId::Mpegaudio, 1));
+        let r = cold.simulate();
         assert_eq!(r.processes[0].completions, 1);
         let warm = solo_baseline_cycles(BenchmarkId::Mpegaudio, &ctx);
         assert!(warm > 0);

@@ -1,11 +1,13 @@
 //! §4.1 — detailed characterization of the multithreaded benchmarks:
 //! Table 2 and Figures 1–7.
 
+use std::sync::Arc;
+
 use jsmt_perfmon::Event;
 use jsmt_report::{fmt_num, fmt_pct, series_chart, Table};
-use jsmt_workloads::{BenchmarkId, WorkloadSpec};
+use jsmt_workloads::BenchmarkId;
 
-use super::{solo_run, Engine, ExperimentCtx};
+use super::{Cell, Engine, ExperimentCtx};
 use crate::RunReport;
 
 /// One measured configuration of a multithreaded benchmark.
@@ -18,7 +20,7 @@ pub struct MtPoint {
     /// Hyper-Threading enabled.
     pub ht: bool,
     /// The full run report.
-    pub report: RunReport,
+    pub report: Arc<RunReport>,
 }
 
 impl MtPoint {
@@ -29,26 +31,16 @@ impl MtPoint {
 }
 
 /// Run the four multithreaded benchmarks at the given thread counts and
-/// HT settings (the data source shared by Table 2 and Figures 1–7).
-/// Serial.
-pub fn characterize_mt(
-    threads_list: &[usize],
-    ht_list: &[bool],
-    ctx: &ExperimentCtx,
-) -> Vec<MtPoint> {
-    characterize_mt_on(&Engine::serial(), threads_list, ht_list, ctx)
-}
-
-/// The multithreaded characterization on `engine`: one job per
-/// `(benchmark, threads, ht)` cell, collected in the nested-loop order
-/// of the serial driver.
+/// HT settings on `engine` (the data source shared by Table 2 and
+/// Figures 1–7): one cell per `(benchmark, threads, ht)`, in nested-loop
+/// order.
 pub fn characterize_mt_on(
     engine: &Engine,
     threads_list: &[usize],
     ht_list: &[bool],
     ctx: &ExperimentCtx,
 ) -> Vec<MtPoint> {
-    let cells: Vec<(BenchmarkId, usize, bool)> = BenchmarkId::MULTITHREADED
+    let points: Vec<(BenchmarkId, usize, bool)> = BenchmarkId::MULTITHREADED
         .iter()
         .flat_map(|&id| {
             threads_list
@@ -56,15 +48,11 @@ pub fn characterize_mt_on(
                 .flat_map(move |&threads| ht_list.iter().map(move |&ht| (id, threads, ht)))
         })
         .collect();
-    engine.run("characterize-mt", cells, |&(id, threads, ht)| {
-        let spec = WorkloadSpec::threaded(id, threads).with_scale(ctx.scale);
-        let report = solo_run(spec, ht, ctx.seed);
-        MtPoint {
-            id,
-            threads,
-            ht,
-            report,
-        }
+    engine.run("characterize-mt", points, |&(id, threads, ht)| MtPoint {
+        id,
+        threads,
+        ht,
+        report: engine.report(&Cell::once(ctx.machine(ht), ctx.workload(id, threads))),
     })
 }
 
@@ -216,20 +204,16 @@ mod tests {
             scale: 0.02,
             ..ExperimentCtx::quick()
         };
-        let mut pts = Vec::new();
-        for &id in &[BenchmarkId::MonteCarlo] {
-            for &ht in &[false, true] {
-                let spec = WorkloadSpec::threaded(id, 2).with_scale(ctx.scale);
-                let report = solo_run(spec, ht, ctx.seed);
-                pts.push(MtPoint {
-                    id,
-                    threads: 2,
-                    ht,
-                    report,
-                });
-            }
-        }
-        pts
+        let id = BenchmarkId::MonteCarlo;
+        [false, true]
+            .into_iter()
+            .map(|ht| MtPoint {
+                id,
+                threads: 2,
+                ht,
+                report: Arc::new(Cell::once(ctx.machine(ht), ctx.workload(id, 2)).simulate()),
+            })
+            .collect()
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use jsmt_perfmon::Event;
 use jsmt_report::{box_chart, heat_map, Table};
 use jsmt_stats::{mean, pearson, BoxSummary};
-use jsmt_workloads::{BenchmarkId, WorkloadSpec};
+use jsmt_workloads::BenchmarkId;
 
-use super::{Engine, ExperimentCtx};
-use crate::{System, SystemConfig};
+use super::{Cell, Engine, ExperimentCtx};
+use crate::RunReport;
 
 /// Result of running one A+B multiprogrammed pair on the HT machine.
 #[derive(Debug, Clone)]
@@ -29,10 +29,9 @@ pub struct PairOutcome {
     pub completions: (u64, u64),
 }
 
-/// Run the pair A+B with the paper's re-launch methodology: both programs
-/// repeat until each has at least `ctx.repeats` completions, completion
-/// times drop the first and last run, and the combined speedup is
-/// computed against the HT-disabled solo baselines.
+/// Run the pair A+B with the paper's re-launch methodology
+/// ([`Cell::corun`]) and compute the combined speedup against the
+/// HT-disabled solo baselines.
 pub fn run_pair(
     a: BenchmarkId,
     b: BenchmarkId,
@@ -40,26 +39,23 @@ pub fn run_pair(
     b_solo: u64,
     ctx: &ExperimentCtx,
 ) -> PairOutcome {
-    let mut sys = System::new(SystemConfig::p4(true).with_seed(ctx.seed));
-    sys.add_relaunching_process(WorkloadSpec::single(a).with_scale(ctx.scale));
-    sys.add_relaunching_process(WorkloadSpec::single(b).with_scale(ctx.scale));
-    // +2 so that dropping first and last still leaves `repeats` samples.
-    let report = sys.run_until_completions(ctx.repeats + 2);
-    let a_h = report.processes[0].mean_duration();
-    let b_h = report.processes[1].mean_duration();
-    let speedup_a = a_solo as f64 / a_h;
-    let speedup_b = b_solo as f64 / b_h;
+    pair_outcome(&Cell::corun(a, b, ctx).simulate(), a_solo, b_solo)
+}
+
+/// The outcome a [`Cell::corun`] report measures over the two programs'
+/// solo baselines: completion times drop the first and last run.
+pub(crate) fn pair_outcome(report: &RunReport, a_solo: u64, b_solo: u64) -> PairOutcome {
+    let (a, b) = (&report.processes[0], &report.processes[1]);
+    let speedup_a = a_solo as f64 / a.mean_duration();
+    let speedup_b = b_solo as f64 / b.mean_duration();
     PairOutcome {
-        a,
-        b,
+        a: a.spec.id,
+        b: b.spec.id,
         speedup_a,
         speedup_b,
         combined: speedup_a + speedup_b,
         tc_mpki: report.metrics.tc_mpki,
-        completions: (
-            report.processes[0].completions,
-            report.processes[1].completions,
-        ),
+        completions: (a.completions, b.completions),
     }
 }
 
@@ -113,17 +109,11 @@ impl PairGrid {
     }
 }
 
-/// Run the full cross product of the nine single-threaded benchmarks
-/// serially (reference execution; see [`pair_matrix_on`]).
-pub fn pair_matrix(ctx: &ExperimentCtx) -> PairGrid {
-    pair_matrix_on(&Engine::serial(), ctx)
-}
-
-/// Run the full cross product on `engine`'s threads through the grid
-/// executor ([`super::pair_grid`]): one stage computing the nine solo
-/// baselines (each simulated exactly once via the engine's memo), then
-/// one stage of N² co-run cells, collected by cell index so the grid is
-/// bit-identical for every [`super::Parallelism`] setting.
+/// Run the full cross product of the nine single-threaded benchmarks on
+/// `engine`'s threads through the grid executor ([`super::pair_grid`]):
+/// one stage computing the nine solo baselines, then one stage of N²
+/// co-run cells, collected by cell index so the grid is bit-identical for
+/// every [`super::Parallelism`] setting.
 ///
 /// # Panics
 ///
@@ -323,14 +313,15 @@ pub struct PairingPrediction {
 /// Build and validate the solo-profile pairing predictor against a
 /// measured grid.
 pub fn pairing_prediction(grid: &PairGrid, ctx: &ExperimentCtx) -> PairingPrediction {
-    use jsmt_workloads::WorkloadSpec;
     // Solo HT-on profiles: one short run per benchmark.
     let solo_tc_mpki: Vec<f64> = grid
         .benchmarks
         .iter()
         .map(|&b| {
-            let spec = WorkloadSpec::single(b).with_scale(ctx.scale);
-            super::solo_run(spec, true, ctx.seed).metrics.tc_mpki
+            Cell::once(ctx.machine(true), ctx.workload(b, 1))
+                .simulate()
+                .metrics
+                .tc_mpki
         })
         .collect();
 

@@ -2,50 +2,37 @@
 //! (`jsmt-cache`): key construction and value encoding. The same value
 //! bytes travel over the shard protocol.
 //!
-//! A cache key must capture *everything* a cell's bytes depend on. For
-//! jsmt cells that is the experiment context (scale, repeats, seed) plus
-//! the simulator itself: two builds whose simulation semantics differ
-//! must never share entries. The latter is folded in as [`CACHE_EPOCH`],
-//! bumped whenever a change alters any cell's output — the golden-CSV
-//! tests are the tripwire that reminds an author to do so.
+//! A cache key must capture *everything* a job's bytes depend on: its
+//! cell (machine, processes, stop rule — see [`super::Cell::key`]), the
+//! baselines a co-run's speedups divide by, and the simulator itself: two
+//! builds whose simulation semantics differ must never share entries. The
+//! latter is folded in as [`CACHE_EPOCH`], bumped whenever a change
+//! alters any cell's output — the golden-CSV tests are the tripwire that
+//! reminds an author to do so.
 
 use jsmt_cache::CacheKey;
-use jsmt_snapshot::{Reader, SnapshotError, Writer};
+use jsmt_snapshot::{Reader, Writer};
 use jsmt_workloads::BenchmarkId;
 
 use super::pairing::PairOutcome;
-use super::ExperimentCtx;
 
 /// Bump when a simulator or methodology change alters cell outputs, so
 /// stale caches miss instead of serving results from a different model.
 pub(crate) const CACHE_EPOCH: u32 = 1;
 
-/// The configuration fingerprint folded into every cache key: epoch,
-/// scale, repeats. (The seed is a key field of its own.)
-pub(crate) fn fingerprint(ctx: &ExperimentCtx) -> u64 {
-    let mut bytes = Vec::with_capacity(28);
-    bytes.extend_from_slice(b"jsmt-cell");
+/// The key of a job labelled `label` whose value is read off the cell
+/// keyed `cell` over the solo `baselines` (none for a solo job).
+pub(crate) fn key(label: String, cell: u64, baselines: &[u64], seed: u64) -> CacheKey {
+    let mut bytes = Vec::with_capacity(12 + 8 * baselines.len());
     bytes.extend_from_slice(&CACHE_EPOCH.to_le_bytes());
-    bytes.extend_from_slice(&ctx.scale.to_bits().to_le_bytes());
-    bytes.extend_from_slice(&ctx.repeats.to_le_bytes());
-    jsmt_snapshot::fnv64(&bytes)
-}
-
-/// Key of a solo HT-off baseline cell.
-pub(crate) fn solo_key(id: BenchmarkId, ctx: &ExperimentCtx) -> CacheKey {
-    CacheKey {
-        fingerprint: fingerprint(ctx),
-        workload: format!("solo:{}", id.name()),
-        seed: ctx.seed,
+    bytes.extend_from_slice(&cell.to_le_bytes());
+    for b in baselines {
+        bytes.extend_from_slice(&b.to_le_bytes());
     }
-}
-
-/// Key of an A+B co-run cell.
-pub(crate) fn pair_key(a: BenchmarkId, b: BenchmarkId, ctx: &ExperimentCtx) -> CacheKey {
     CacheKey {
-        fingerprint: fingerprint(ctx),
-        workload: format!("pair:{}+{}", a.name(), b.name()),
-        seed: ctx.seed,
+        fingerprint: jsmt_snapshot::fnv64(&bytes),
+        workload: label,
+        seed,
     }
 }
 
@@ -57,7 +44,8 @@ pub(crate) fn decode_solo(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(bytes.try_into().ok()?))
 }
 
-fn write_outcome(w: &mut Writer, o: &PairOutcome) {
+pub(crate) fn encode_pair(o: &PairOutcome) -> Vec<u8> {
+    let mut w = Writer::new();
     w.put_u8(o.a.tag());
     w.put_u8(o.b.tag());
     w.put_f64(o.speedup_a);
@@ -66,33 +54,20 @@ fn write_outcome(w: &mut Writer, o: &PairOutcome) {
     w.put_f64(o.tc_mpki);
     w.put_u64(o.completions.0);
     w.put_u64(o.completions.1);
-}
-
-fn read_outcome(r: &mut Reader<'_>) -> Result<PairOutcome, SnapshotError> {
-    let a = BenchmarkId::from_tag(r.get_u8()?)
-        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in grid cell"))?;
-    let b = BenchmarkId::from_tag(r.get_u8()?)
-        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in grid cell"))?;
-    Ok(PairOutcome {
-        a,
-        b,
-        speedup_a: r.get_f64()?,
-        speedup_b: r.get_f64()?,
-        combined: r.get_f64()?,
-        tc_mpki: r.get_f64()?,
-        completions: (r.get_u64()?, r.get_u64()?),
-    })
-}
-
-pub(crate) fn encode_pair(o: &PairOutcome) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_outcome(&mut w, o);
     w.into_bytes()
 }
 
 pub(crate) fn decode_pair(bytes: &[u8]) -> Option<PairOutcome> {
     let mut r = Reader::new(bytes);
-    let o = read_outcome(&mut r).ok()?;
+    let o = PairOutcome {
+        a: BenchmarkId::from_tag(r.get_u8().ok()?)?,
+        b: BenchmarkId::from_tag(r.get_u8().ok()?)?,
+        speedup_a: r.get_f64().ok()?,
+        speedup_b: r.get_f64().ok()?,
+        combined: r.get_f64().ok()?,
+        tc_mpki: r.get_f64().ok()?,
+        completions: (r.get_u64().ok()?, r.get_u64().ok()?),
+    };
     r.expect_end().ok()?;
     Some(o)
 }
@@ -103,20 +78,42 @@ mod tests {
 
     #[test]
     fn keys_separate_cells_and_configs() {
+        use super::super::grid::Job;
+        use super::super::ExperimentCtx;
+
         let ctx = ExperimentCtx::quick();
         let full = ExperimentCtx::full();
-        let k1 = pair_key(BenchmarkId::Compress, BenchmarkId::Db, &ctx);
-        let k2 = pair_key(BenchmarkId::Db, BenchmarkId::Compress, &ctx);
-        assert_ne!(k1, k2, "A+B and B+A are distinct cells");
+        let pair = |a, b, a_solo| Job::Pair {
+            a,
+            b,
+            a_solo,
+            b_solo: 20,
+        };
+        let k1 = pair(BenchmarkId::Compress, BenchmarkId::Db, 10);
         assert_ne!(
-            k1.fingerprint,
-            pair_key(BenchmarkId::Compress, BenchmarkId::Db, &full).fingerprint,
+            k1.key(&ctx),
+            pair(BenchmarkId::Db, BenchmarkId::Compress, 10).key(&ctx),
+            "A+B and B+A are distinct cells"
+        );
+        assert_ne!(
+            k1.key(&ctx).fingerprint,
+            k1.key(&full).fingerprint,
             "different configs must not share entries"
         );
         assert_ne!(
-            solo_key(BenchmarkId::Compress, &ctx).workload,
-            pair_key(BenchmarkId::Compress, BenchmarkId::Compress, &ctx).workload
+            k1.key(&ctx).fingerprint,
+            pair(BenchmarkId::Compress, BenchmarkId::Db, 11)
+                .key(&ctx)
+                .fingerprint,
+            "a co-run's key covers its baselines"
         );
+        assert_ne!(
+            Job::Solo(BenchmarkId::Compress).key(&ctx).fingerprint,
+            pair(BenchmarkId::Compress, BenchmarkId::Compress, 10)
+                .key(&ctx)
+                .fingerprint
+        );
+        assert_eq!(k1.key(&ctx), k1.key(&ctx));
     }
 
     #[test]

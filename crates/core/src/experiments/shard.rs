@@ -62,12 +62,12 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use super::grid::{Cell, OnValue, Value};
+use super::grid::{Job, OnValue, Value};
 use super::supervise::{
     backoff_schedule, diagnose, install, silence_supervised_panics, CellFailure, Diagnosis,
     FailureKind, Supervision, SupervisorCfg,
 };
-use super::ExperimentCtx;
+use super::{Engine, ExperimentCtx};
 use crate::error::{ErrorKind, JsmtError};
 
 /// The worker fleet of [`super::Transport::Processes`]. Retries,
@@ -114,10 +114,13 @@ pub(crate) struct Pool<'a> {
 /// One stage in flight on the pool.
 struct Stage<'s> {
     name: &'s str,
-    jobs: &'s [(usize, Cell)],
+    jobs: &'s [(usize, Job)],
     attempts: u32,
     /// Each job's deterministic backoff schedule.
     schedules: Vec<Vec<Duration>>,
+    /// Each job's first dispatch, and its time from there to its result.
+    started: Vec<Option<Instant>>,
+    elapsed: Vec<Duration>,
     results: Vec<Option<Result<Value, CellFailure>>>,
     pending: Vec<Pending>,
     done: usize,
@@ -191,9 +194,10 @@ impl<'a> Pool<'a> {
         Ok(())
     }
 
-    /// Run one stage of `(grid index, cell)` jobs to completion (success
-    /// or exhausted attempts per cell), calling `on_value` as each value
-    /// arrives. Results come back in `jobs` order.
+    /// Run one stage of `(grid index, job)` pairs to completion (success
+    /// or exhausted attempts per job), calling `on_value` as each value
+    /// arrives, and record the stage in `engine`'s timings. Results come
+    /// back in `jobs` order.
     ///
     /// # Errors
     ///
@@ -203,12 +207,14 @@ impl<'a> Pool<'a> {
     #[allow(clippy::result_large_err)]
     pub(crate) fn run_stage(
         &mut self,
+        engine: &Engine,
         name: &str,
         ctx: &ExperimentCtx,
         sup: &SupervisorCfg,
-        jobs: &[(usize, Cell)],
+        jobs: &[(usize, Job)],
         on_value: &OnValue<'_>,
     ) -> Result<Vec<Result<Value, CellFailure>>, JsmtError> {
+        let start = Instant::now();
         let attempts = sup.retries + 1;
         let mut st = Stage {
             name,
@@ -216,16 +222,18 @@ impl<'a> Pool<'a> {
             attempts,
             schedules: jobs
                 .iter()
-                .map(|(_, cell)| {
+                .map(|(_, job)| {
                     backoff_schedule(
                         ctx.seed,
-                        &format!("{name}/{}", cell.label()),
+                        &format!("{name}/{}", job.label()),
                         attempts,
                         sup.backoff_base,
                         sup.backoff_cap,
                     )
                 })
                 .collect(),
+            started: vec![None; jobs.len()],
+            elapsed: vec![Duration::ZERO; jobs.len()],
             results: jobs.iter().map(|_| None).collect(),
             pending: (0..jobs.len())
                 .map(|slot| Pending {
@@ -269,8 +277,8 @@ impl<'a> Pool<'a> {
                     break;
                 };
                 let p = st.pending.swap_remove(pi);
-                let (index, cell) = &jobs[p.slot];
-                let line = format!("shard {name} {index} {} {}\n", p.attempt, cell.spec());
+                let (index, job) = &jobs[p.slot];
+                let line = format!("shard {name} {index} {} {}\n", p.attempt, job.spec());
                 let w = self.workers.get_mut(&uid).expect("idle worker");
                 if w.stdin
                     .write_all(line.as_bytes())
@@ -286,6 +294,7 @@ impl<'a> Pool<'a> {
                     break;
                 }
                 w.busy = Some((p.slot, p.attempt, sup.deadline.map(|d| now + d)));
+                st.started[p.slot].get_or_insert(now);
             }
 
             // Enforce per-attempt deadlines: SIGKILL, then attribute the
@@ -307,6 +316,7 @@ impl<'a> Pool<'a> {
                 Err(RecvTimeoutError::Disconnected) => unreachable!("pool holds a sender"),
             }
         }
+        engine.record_stage(name, start, &st.elapsed);
         Ok(st
             .results
             .into_iter()
@@ -328,7 +338,7 @@ impl<'a> Pool<'a> {
         let Some((slot, attempt, _)) = w.busy.take() else {
             return Ok(()); // stray line from an idle worker
         };
-        let (index, cell) = &st.jobs[slot];
+        let (index, job) = &st.jobs[slot];
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let bad = || {
             JsmtError::new(
@@ -339,11 +349,10 @@ impl<'a> Pool<'a> {
         match tokens.as_slice() {
             ["ok", i, hex] if i.parse::<usize>().ok() == Some(*index) => {
                 let value = from_hex(hex)
-                    .and_then(|bytes| cell.decode(&bytes))
+                    .and_then(|bytes| job.decode(&bytes))
                     .ok_or_else(bad)?;
-                on_value(cell, &value);
-                st.results[slot] = Some(Ok(value));
-                st.done += 1;
+                on_value(job, &value);
+                st.finish(slot, Ok(value));
             }
             ["err", i, kind, component, cycle, hexmsg]
                 if i.parse::<usize>().ok() == Some(*index) =>
@@ -439,10 +448,10 @@ impl Stage<'_> {
                 not_before: Instant::now() + delay,
             });
         } else {
-            let (index, cell) = &self.jobs[slot];
-            self.results[slot] = Some(Err(CellFailure {
+            let (index, job) = &self.jobs[slot];
+            let failure = CellFailure {
                 stage: self.name.to_string(),
-                label: cell.label(),
+                label: job.label(),
                 index: *index,
                 kind: d.kind,
                 component: d.component,
@@ -451,9 +460,17 @@ impl Stage<'_> {
                 attempts: self.attempts,
                 backoff_ms: schedule.iter().map(|d| d.as_millis() as u64).collect(),
                 bundle: None,
-            }));
-            self.done += 1;
+            };
+            self.finish(slot, Err(failure));
         }
+    }
+
+    /// Record job `slot`'s final result and its time since first dispatch.
+    fn finish(&mut self, slot: usize, result: Result<Value, CellFailure>) {
+        let started = self.started[slot].expect("a finished job was dispatched");
+        self.elapsed[slot] = started.elapsed();
+        self.results[slot] = Some(result);
+        self.done += 1;
     }
 }
 
@@ -507,8 +524,8 @@ fn serve_shard(
     ctx: &ExperimentCtx,
     livelock_cycles: u64,
 ) -> Option<String> {
-    let cell = Cell::parse(spec)?;
-    let scope_label = format!("{stage}/{}", cell.label());
+    let job = Job::parse(spec)?;
+    let scope_label = format!("{stage}/{}", job.label());
     let sup = Supervision::new(&SupervisorCfg {
         livelock_cycles,
         ..SupervisorCfg::default()
@@ -522,7 +539,7 @@ fn serve_shard(
             // pickup.
             jsmt_faults::check_worker_kill();
             jsmt_faults::check_worker();
-            cell.compute(ctx).encode()
+            job.value(&job.cell(ctx).simulate()).encode()
         }))
     };
     Some(match outcome {

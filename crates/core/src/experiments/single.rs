@@ -3,9 +3,10 @@
 
 use jsmt_report::{bar_chart, Table};
 use jsmt_stats::pct_change;
-use jsmt_workloads::{BenchmarkId, WorkloadSpec};
+use jsmt_workloads::BenchmarkId;
 
-use super::{run_pair, solo_run, Engine, ExperimentCtx};
+use super::pairing::pair_outcome;
+use super::{Cell, Engine, ExperimentCtx};
 
 /// One single-threaded benchmark measured with HT off and on.
 #[derive(Debug, Clone, Copy)]
@@ -26,29 +27,23 @@ impl SinglePoint {
     }
 }
 
-/// Figure 10: run each single-threaded benchmark alone with HT disabled
-/// and enabled. Serial.
-pub fn fig10_single_thread_impact(ctx: &ExperimentCtx) -> Vec<SinglePoint> {
-    fig10_single_thread_impact_on(&Engine::serial(), ctx)
-}
-
-/// The Figure 10 measurement on `engine`: one job per benchmark (each
-/// job runs the HT-off and HT-on configurations).
+/// Figure 10 on `engine`: each single-threaded benchmark run alone with
+/// HT disabled and enabled, one cell each.
 pub fn fig10_single_thread_impact_on(engine: &Engine, ctx: &ExperimentCtx) -> Vec<SinglePoint> {
-    engine.run(
-        "fig10-single",
-        BenchmarkId::SINGLE_THREADED.to_vec(),
-        |&id| {
-            let spec = WorkloadSpec::single(id).with_scale(ctx.scale);
-            let off = solo_run(spec, false, ctx.seed).cycles;
-            let on = solo_run(spec, true, ctx.seed).cycles;
-            SinglePoint {
-                id,
-                cycles_ht_off: off,
-                cycles_ht_on: on,
-            }
-        },
-    )
+    let ids = BenchmarkId::SINGLE_THREADED;
+    let cells = ids
+        .iter()
+        .flat_map(|&id| [false, true].map(|ht| Cell::once(ctx.machine(ht), ctx.workload(id, 1))))
+        .collect();
+    let reports = engine.run("fig10-single", cells, |cell| engine.report(cell));
+    ids.iter()
+        .zip(reports.chunks(2))
+        .map(|(&id, r)| SinglePoint {
+            id,
+            cycles_ht_off: r[0].cycles,
+            cycles_ht_on: r[1].cycles,
+        })
+        .collect()
 }
 
 /// Render Figure 10.
@@ -81,24 +76,21 @@ pub fn render_fig10(points: &[SinglePoint]) -> String {
     out
 }
 
-/// Figure 11: combined speedup of two identical copies of each
-/// single-threaded benchmark running simultaneously on the HT machine.
-/// Serial.
-pub fn fig11_self_pairs(ctx: &ExperimentCtx) -> Vec<(BenchmarkId, f64)> {
-    fig11_self_pairs_on(&Engine::serial(), ctx)
-}
-
-/// The Figure 11 measurement on `engine`: one job per benchmark, with
-/// solo baselines served by the engine's memoizing cache (shared with
-/// the pairing grid when one engine runs both).
+/// Figure 11 on `engine`: the combined speedup of two identical copies
+/// of each single-threaded benchmark running simultaneously on the HT
+/// machine. One job per benchmark requests its solo baseline and its
+/// self co-run, both shared with the pairing grid when one engine runs
+/// both.
 pub fn fig11_self_pairs_on(engine: &Engine, ctx: &ExperimentCtx) -> Vec<(BenchmarkId, f64)> {
-    let ids = BenchmarkId::SINGLE_THREADED.to_vec();
-    engine.prewarm_baselines(&ids, ctx);
-    engine.run("fig11-self-pairs", ids, |&id| {
-        let solo = engine.solo_baseline(id, ctx);
-        let o = run_pair(id, id, solo, solo, ctx);
-        (id, o.combined)
-    })
+    engine.run(
+        "fig11-self-pairs",
+        BenchmarkId::SINGLE_THREADED.to_vec(),
+        |&id| {
+            let solo = engine.solo_baseline(id, ctx);
+            let report = engine.report(&Cell::corun(id, id, ctx));
+            (id, pair_outcome(&report, solo, solo).combined)
+        },
+    )
 }
 
 /// Render Figure 11.
@@ -145,9 +137,12 @@ mod tests {
             repeats: 3,
             seed: 1,
         };
-        let spec = WorkloadSpec::single(BenchmarkId::Db).with_scale(ctx.scale);
-        let off = solo_run(spec, false, ctx.seed).cycles;
-        let on = solo_run(spec, true, ctx.seed).cycles;
+        let run = |ht| {
+            Cell::once(ctx.machine(ht), ctx.workload(BenchmarkId::Db, 1))
+                .simulate()
+                .cycles
+        };
+        let (off, on) = (run(false), run(true));
         let p = SinglePoint {
             id: BenchmarkId::Db,
             cycles_ht_off: off,

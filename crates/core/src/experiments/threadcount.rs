@@ -2,9 +2,9 @@
 //! Figure 12.
 
 use jsmt_report::Table;
-use jsmt_workloads::{BenchmarkId, WorkloadSpec};
+use jsmt_workloads::BenchmarkId;
 
-use super::{solo_run, Engine, ExperimentCtx};
+use super::{Cell, Engine, ExperimentCtx};
 
 /// IPC of one benchmark at one thread count (HT enabled).
 #[derive(Debug, Clone, Copy)]
@@ -21,31 +21,24 @@ pub struct ThreadPoint {
     pub l1d_mpki: f64,
 }
 
-/// The paper's Figure 12 sweep: thread counts 1–16 on the HT machine.
-/// Serial.
-pub fn fig12_ipc_vs_threads(threads_list: &[usize], ctx: &ExperimentCtx) -> Vec<ThreadPoint> {
-    fig12_ipc_vs_threads_on(&Engine::serial(), threads_list, ctx)
-}
-
-/// The Figure 12 sweep on `engine`: one job per `(benchmark, threads)`
-/// cell.
+/// The paper's Figure 12 sweep on `engine`: the thread counts in
+/// `threads_list` on the HT machine, one cell per `(benchmark, threads)`.
 pub fn fig12_ipc_vs_threads_on(
     engine: &Engine,
     threads_list: &[usize],
     ctx: &ExperimentCtx,
 ) -> Vec<ThreadPoint> {
-    let cells: Vec<(BenchmarkId, usize)> = BenchmarkId::MULTITHREADED
+    let points: Vec<(BenchmarkId, usize)> = BenchmarkId::MULTITHREADED
         .iter()
         .flat_map(|&id| threads_list.iter().map(move |&threads| (id, threads)))
         .collect();
-    engine.run("fig12-threads", cells, |&(id, threads)| {
-        let spec = WorkloadSpec::threaded(id, threads).with_scale(ctx.scale);
-        let report = solo_run(spec, true, ctx.seed);
+    engine.run("fig12-threads", points, |&(id, threads)| {
+        let r = engine.report(&Cell::once(ctx.machine(true), ctx.workload(id, threads)));
         ThreadPoint {
             id,
             threads,
-            ipc: report.metrics.ipc,
-            l1d_mpki: report.metrics.l1d_mpki,
+            ipc: r.metrics.ipc,
+            l1d_mpki: r.metrics.l1d_mpki,
         }
     })
 }
@@ -82,7 +75,7 @@ mod tests {
             repeats: 3,
             seed: 1,
         };
-        let pts = fig12_ipc_vs_threads(&[1, 2], &ctx);
+        let pts = fig12_ipc_vs_threads_on(&Engine::serial(), &[1, 2], &ctx);
         assert_eq!(pts.len(), BenchmarkId::MULTITHREADED.len() * 2);
         let rendered = render_fig12(&pts);
         assert!(rendered.contains("MolDyn"));
@@ -97,9 +90,13 @@ mod tests {
             seed: 1,
         };
         let run = |threads| {
-            let spec =
-                WorkloadSpec::threaded(BenchmarkId::MonteCarlo, threads).with_scale(ctx.scale);
-            solo_run(spec, true, ctx.seed).metrics.ipc
+            Cell::once(
+                ctx.machine(true),
+                ctx.workload(BenchmarkId::MonteCarlo, threads),
+            )
+            .simulate()
+            .metrics
+            .ipc
         };
         let one = run(1);
         let two = run(2);

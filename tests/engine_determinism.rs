@@ -1,8 +1,9 @@
 //! The parallel experiment engine's core guarantee: results are a pure
 //! function of the experiment inputs, never of the schedule. Every
-//! ported driver must produce bit-identical output — structured fields,
+//! driver must produce bit-identical output — structured fields,
 //! counter banks, and rendered CSV bytes — under `Parallelism::Serial`
-//! and any `Parallelism::Threads(n)`.
+//! and any `Parallelism::Threads(n)`. And each distinct cell is
+//! simulated exactly once per engine, however many artifacts read it.
 
 use jsmt_core::experiments::{self as exp, Engine, ExperimentCtx, Parallelism};
 
@@ -23,8 +24,8 @@ fn engines() -> (Engine, Engine) {
 /// The headline acceptance criterion: the full 9×9 pairing grid at
 /// `ExperimentCtx::quick()` is byte-identical between `Serial` and
 /// `Threads(4)` — structured results compared at f64 bit level, CSV and
-/// rendered figures compared as bytes — and the parallel engine's
-/// memoizing cache simulates each solo baseline exactly once.
+/// rendered figures compared as bytes — and each engine simulates each
+/// of the grid's 90 cells exactly once.
 #[test]
 fn pair_matrix_quick_threads4_matches_serial_bit_for_bit() {
     let ctx = ExperimentCtx::quick();
@@ -79,13 +80,88 @@ fn pair_matrix_quick_threads4_matches_serial_bit_for_bit() {
     assert_eq!(exp::render_fig8(&g_ser), exp::render_fig8(&g_par));
     assert_eq!(exp::render_fig9(&g_ser), exp::render_fig9(&g_par));
 
-    // Exactly-once baselines: 9 prewarm lookups miss and simulate; the
-    // 81 cells' 162 in-job lookups are all served from the cache.
+    // Exactly once: 9 solo cells, then 81 co-runs that take their
+    // baselines from the first stage instead of requesting them again.
     let n = g_par.benchmarks.len() as u64;
-    let stats = par.baseline_stats();
-    assert_eq!(stats.misses, n, "each solo baseline simulated exactly once");
-    assert_eq!(stats.lookups, n + 2 * n * n);
-    assert_eq!(stats.hits(), 2 * n * n);
+    for engine in [&ser, &par] {
+        let stats = engine.baseline_stats();
+        assert_eq!(stats.lookups, n + n * n);
+        assert_eq!(stats.misses, n + n * n, "each cell simulated exactly once");
+    }
+}
+
+/// The characterization sequence of `repro all` (Table 2, Figure 1,
+/// Figures 10 and 12 and the four ablations, with `repro`'s thread
+/// counts and cache sizes) agrees byte for byte between a serial and a
+/// four-thread engine: counter banks of the characterization points and
+/// every CSV. Its 123 cell requests name 73 distinct cells, and each
+/// engine simulates each once: Figure 1 repeats four of Table 2's cells,
+/// Figure 12 eight of Table 2's and three of Figure 10's (MolDyn,
+/// MonteCarlo and RayTracer alone on one thread), the partition
+/// ablation 18 of Figure 10's, the L1 and prefetch ablations four each
+/// of Figure 1's, and the JIT ablation nine of Figure 10's. Figure 11
+/// then agrees too, including its baselines.
+#[test]
+fn characterization_sequence_is_schedule_invariant() {
+    let ctx = small();
+    let (ser, par) = engines();
+    let sequence = |engine: &Engine| {
+        let table2 = exp::characterize_mt_on(engine, &[2, 8], &[true], &ctx);
+        let fig1 = exp::characterize_mt_on(engine, &[2], &[false, true], &ctx);
+        let csvs = [
+            exp::csv_mt(&table2),
+            exp::csv_mt(&fig1),
+            exp::csv_single(&exp::fig10_single_thread_impact_on(engine, &ctx)),
+            exp::csv_threads(&exp::fig12_ipc_vs_threads_on(
+                engine,
+                &[1, 2, 4, 8, 16],
+                &ctx,
+            )),
+            exp::csv_partition(&exp::ablation_partition_on(engine, &ctx)),
+            exp::csv_l1(&exp::ablation_l1_on(engine, &[8, 16, 32, 64], &ctx)),
+            exp::csv_prefetch(&exp::ablation_prefetch_on(engine, &ctx)),
+            exp::csv_jit(&exp::ablation_jit_on(engine, &ctx)),
+        ];
+        let stats = engine.baseline_stats();
+        let fig11 = exp::fig11_self_pairs_on(engine, &ctx);
+        ([table2, fig1].concat(), csvs, stats, fig11)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let serial = s.spawn(|| sequence(&ser));
+        let b = sequence(&par);
+        (serial.join().expect("serial sequence"), b)
+    });
+
+    let (points_a, csvs_a, stats_a, fig11_a) = a;
+    let (points_b, csvs_b, stats_b, fig11_b) = b;
+    assert_eq!(points_a.len(), points_b.len());
+    for (s, p) in points_a.iter().zip(&points_b) {
+        assert_eq!((s.id, s.threads, s.ht), (p.id, p.threads, p.ht));
+        assert_eq!(s.report.cycles, p.report.cycles, "{}", s.label());
+        assert_eq!(
+            s.report.bank,
+            p.report.bank,
+            "counter bank diverged for {}",
+            s.label()
+        );
+    }
+    for (i, (s, p)) in csvs_a.iter().zip(&csvs_b).enumerate() {
+        assert_eq!(s.as_bytes(), p.as_bytes(), "artifact {i} diverged");
+    }
+    for stats in [stats_a, stats_b] {
+        assert_eq!(stats.lookups, 123, "cell requests of the sequence");
+        assert_eq!(stats.misses, 73, "distinct cells, each simulated once");
+    }
+
+    assert_eq!(fig11_a.len(), fig11_b.len());
+    for ((ia, ca), (ib, cb)) in fig11_a.iter().zip(&fig11_b) {
+        assert_eq!(ia, ib);
+        assert_eq!(
+            ca.to_bits(),
+            cb.to_bits(),
+            "{ia:?} self-pair combined speedup"
+        );
+    }
 }
 
 /// Figures 1–7 data: cycles, full counter banks, and CSV bytes agree.
@@ -110,7 +186,7 @@ fn characterize_mt_is_schedule_invariant() {
 }
 
 /// Figures 10 and 11: the single-threaded HT impact and self-pair
-/// drivers agree, including the baseline cache path used by fig11.
+/// drivers agree, including the cell memo path used by fig11.
 #[test]
 fn single_thread_drivers_are_schedule_invariant() {
     let ctx = small();
@@ -219,13 +295,14 @@ fn no_fastfwd_env_var_produces_identical_csv_bytes() {
     assert_eq!(with_ff, without_ff, "fast-forward leaked into results");
 }
 
-/// The baseline cache is shared across drivers on one engine: a pairing
-/// grid followed by fig11 never re-simulates a baseline, and re-running
-/// the grid on the same engine adds lookups but zero misses.
+/// The cell memo is shared across drivers on one engine: a pairing grid
+/// simulates its 90 cells, Figure 11 after it simulates none (its
+/// baselines and self co-runs are the grid's), and re-running the grid
+/// on the same engine adds requests but no simulation.
 #[test]
 fn baselines_are_simulated_exactly_once_per_engine() {
-    // Tiny scale: this test runs the 81-cell grid twice and only cares
-    // about cache accounting, not simulated numbers.
+    // Tiny scale: this test only cares about memo accounting, not
+    // simulated numbers.
     let ctx = ExperimentCtx {
         scale: 0.01,
         repeats: 1,
@@ -235,22 +312,22 @@ fn baselines_are_simulated_exactly_once_per_engine() {
     let g = exp::pair_matrix_on(&par, &ctx);
     let n = g.benchmarks.len() as u64;
     let after_grid = par.baseline_stats();
-    assert_eq!(after_grid.misses, n);
-    assert_eq!(after_grid.lookups, n + 2 * n * n);
+    assert_eq!(after_grid.misses, n + n * n);
+    assert_eq!(after_grid.lookups, n + n * n);
 
     let _ = exp::fig11_self_pairs_on(&par, &ctx);
     let after_fig11 = par.baseline_stats();
     assert_eq!(
-        after_fig11.misses, n,
-        "fig11 must reuse the grid's baselines"
+        after_fig11.misses, after_grid.misses,
+        "fig11 must reuse the grid's cells"
     );
     assert_eq!(after_fig11.lookups, after_grid.lookups + 2 * n);
 
     let _ = exp::pair_matrix_on(&par, &ctx);
     let after_rerun = par.baseline_stats();
     assert_eq!(
-        after_rerun.misses, n,
+        after_rerun.misses, after_grid.misses,
         "re-running the grid must not re-simulate"
     );
-    assert_eq!(after_rerun.lookups, after_fig11.lookups + n + 2 * n * n);
+    assert_eq!(after_rerun.lookups, after_fig11.lookups + n + n * n);
 }

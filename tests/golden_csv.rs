@@ -16,6 +16,7 @@
 //! change and explain the delta in the PR.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use jsmt_core::experiments::{self as exp, Engine, ExperimentCtx};
 
@@ -49,65 +50,69 @@ fn check(name: &str, actual: &str) {
     );
 }
 
-/// Engine honoring `JSMT_JOBS`: goldens are schedule-invariant, so CI and
-/// laptops may bless/check at any parallelism and get the same bytes.
-fn engine() -> Engine {
-    Engine::from_env()
+/// The one engine every golden runs on, honoring `JSMT_JOBS`: goldens are
+/// schedule-invariant, so CI and laptops may bless/check at any
+/// parallelism and get the same bytes. Sharing it means a cell that two
+/// artifacts measure is simulated once per binary, and the goldens pin
+/// reports the memo served to another artifact as well as fresh ones.
+fn engine() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(Engine::from_env)
 }
 
 #[test]
 fn golden_mt_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::characterize_mt_on(&engine(), &[1, 2], &[false, true], &ctx);
+    let pts = exp::characterize_mt_on(engine(), &[1, 2], &[false, true], &ctx);
     check("mt.csv", &exp::csv_mt(&pts));
 }
 
 #[test]
 fn golden_grid_csv() {
     let ctx = ExperimentCtx::quick();
-    let grid = exp::pair_matrix_on(&engine(), &ctx);
+    let grid = exp::pair_matrix_on(engine(), &ctx);
     check("grid.csv", &exp::csv_grid(&grid));
 }
 
 #[test]
 fn golden_single_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::fig10_single_thread_impact_on(&engine(), &ctx);
+    let pts = exp::fig10_single_thread_impact_on(engine(), &ctx);
     check("single.csv", &exp::csv_single(&pts));
 }
 
 #[test]
 fn golden_threads_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::fig12_ipc_vs_threads_on(&engine(), &[1, 2, 4, 8, 16], &ctx);
+    let pts = exp::fig12_ipc_vs_threads_on(engine(), &[1, 2, 4, 8, 16], &ctx);
     check("threads.csv", &exp::csv_threads(&pts));
 }
 
 #[test]
 fn golden_partition_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::ablation_partition_on(&engine(), &ctx);
+    let pts = exp::ablation_partition_on(engine(), &ctx);
     check("partition.csv", &exp::csv_partition(&pts));
 }
 
 #[test]
 fn golden_l1_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::ablation_l1_on(&engine(), &[8, 16, 32, 64], &ctx);
+    let pts = exp::ablation_l1_on(engine(), &[8, 16, 32, 64], &ctx);
     check("l1.csv", &exp::csv_l1(&pts));
 }
 
 #[test]
 fn golden_prefetch_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::ablation_prefetch_on(&engine(), &ctx);
+    let pts = exp::ablation_prefetch_on(engine(), &ctx);
     check("prefetch.csv", &exp::csv_prefetch(&pts));
 }
 
 #[test]
 fn golden_jit_csv() {
     let ctx = ExperimentCtx::quick();
-    let pts = exp::ablation_jit_on(&engine(), &ctx);
+    let pts = exp::ablation_jit_on(engine(), &ctx);
     check("jit.csv", &exp::csv_jit(&pts));
 }
 
@@ -120,7 +125,7 @@ fn golden_jit_csv() {
 #[test]
 fn golden_litmus_csv() {
     let ctx = ExperimentCtx::quick();
-    let sl = exp::litmus_sweeps(&engine(), 6, &ctx, &exp::SupervisorCfg::default());
+    let sl = exp::litmus_sweeps(engine(), 6, &ctx, &exp::SupervisorCfg::default());
     assert!(sl.is_clean(), "forbidden outcomes: {:?}", sl.failures);
     check("litmus.csv", &exp::csv_litmus(&sl.sweeps));
 }

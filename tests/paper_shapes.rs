@@ -119,9 +119,13 @@ fn fig10_single_threaded_programs_slow_down() {
     ];
     let mut slower = 0;
     for id in picks {
-        let spec = WorkloadSpec::single(id).with_scale(ctx().scale);
-        let off = exp::solo_run(spec, false, ctx().seed).cycles;
-        let on = exp::solo_run(spec, true, ctx().seed).cycles;
+        let c = ctx();
+        let run = |ht| {
+            exp::Cell::once(c.machine(ht), c.workload(id, 1))
+                .simulate()
+                .cycles
+        };
+        let (off, on) = (run(false), run(true));
         if on > off {
             slower += 1;
         }
@@ -137,7 +141,7 @@ fn fig10_single_threaded_programs_slow_down() {
 #[test]
 fn fig12_two_threads_saturate_the_machine() {
     let c = ctx();
-    let pts = exp::fig12_ipc_vs_threads(&[1, 2, 4], &c);
+    let pts = exp::fig12_ipc_vs_threads_on(&exp::Engine::serial(), &[1, 2, 4], &c);
     for id in BenchmarkId::MULTITHREADED {
         let ipc = |t: usize| {
             pts.iter()

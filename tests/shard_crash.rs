@@ -234,6 +234,22 @@ fn failed_baseline_cancels_its_pairs_on_both_transports() {
             expected,
             "{transport:?}: the CSV is the clean one minus the jess rows"
         );
+        // Both transports account their stages the same way: every solo
+        // cell is dispatched, and the 17 cancelled co-runs are not.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stages: Vec<(&str, usize)> = stderr
+            .lines()
+            .filter_map(|line| {
+                let parts: Vec<&str> = line.split_whitespace().collect();
+                (parts.len() > 3 && parts[0] == "#" && parts[3] == "jobs")
+                    .then(|| (parts[1], parts[2].parse().expect("job count")))
+            })
+            .collect();
+        assert_eq!(
+            stages,
+            [("solo-baselines", 9), ("pair-grid", 64)],
+            "{transport:?}: {stderr}"
+        );
         let manifest = std::fs::read_to_string(&manifest).expect("manifest written");
         let rows: Vec<&str> = manifest.lines().skip(1).collect();
         assert_eq!(rows.len(), 1 + 17, "{transport:?}:\n{manifest}");
